@@ -12,52 +12,111 @@ membership in open polyhedral regions.
 
 The objective is bounded by construction (t <= cap), so a kernel report of
 "unbounded" can only mean a numerically null improving column slipped past
-the pricing threshold; the solve is then rebuilt from scratch with coarser
-pricing.  Stopping early at a coarser threshold can only understate the
-optimal margin, never overstate it, so certificates stay conservative.
+the pricing threshold.  An LP that outlasts its iteration limit has drifted
+numerically the same way.  Either way the solve is rebuilt from scratch with
+coarser pricing.  Stopping early at a coarser threshold can only understate
+the optimal margin, never overstate it, so certificates stay conservative.
 
 The pivot loop is the hot kernel of the whole package: region enumeration
 solves one LP per candidate pattern and the Monte Carlo grids solve one
-medium-sized LP per trial.  A compiled Cython kernel is preferred when the
-extension built; a numpy fallback with identical pivot rules is always
-available.  Set ``RELUREGIONS_PURE=1`` to force the fallback.
+medium-sized LP per trial.  Its rules:
+
+* pricing: Dantzig (most negative reduced cost, first index on ties), with a
+  permanent switch to Bland's rule after too many consecutive degenerate
+  pivots (anti-cycling guarantee);
+* ratio test: minimum ratio over rows whose column entry exceeds ``piv_tol``
+  (tiny pivots would amplify roundoff catastrophically); ties are broken by
+  the largest pivot element for stability, or by smallest basic variable
+  index once Bland's rule is active (termination guarantee).
+
+The tableau ``T`` has shape (m+1, n+1): row m is the reduced-cost row of a
+minimization problem, column n is the right-hand side, and ``T[m, n]`` holds
+minus the current objective value.  ``basis[i]`` is the column basic in row i.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _simplex_py
 from .errors import InputError, InvariantViolation
 from .linalg import DEFAULT_TOL, Tol, as_matrix, as_vector
 
-__all__ = ["MarginResult", "lp_max_margin", "kernel_backend", "available_kernels"]
+__all__ = ["MarginResult", "lp_max_margin", "kernel_backend"]
 
 _PRICE_EPS = 1e-9  # reduced-cost threshold; escalated on numerical trouble
 _PIVOT_TOL = 1e-8  # ratio-test eligibility: smaller pivots amplify roundoff
 
-_KERNELS: dict[str, object] = {"python": _simplex_py.simplex_loop}
-_BACKEND = "python"
-if not os.environ.get("RELUREGIONS_PURE"):
-    try:
-        from . import _simplex_c
+OPTIMAL = 0
+UNBOUNDED = 1
+ITERATION_LIMIT = 2
 
-        _KERNELS["compiled"] = _simplex_c.simplex_loop
-        _BACKEND = "compiled"
-    except ImportError:
-        pass
+
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+
+
+def simplex_loop(
+    T: np.ndarray, basis: np.ndarray, eps: float, piv_tol: float, max_iter: int, stall_limit: int
+) -> int:
+    """Pivot ``T`` to optimality in place; returns OPTIMAL, UNBOUNDED or ITERATION_LIMIT."""
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    obj = T[m]
+    bland = False
+    stall = 0
+    for _ in range(max_iter):
+        if bland:
+            neg = np.nonzero(obj[:n] < -eps)[0]
+            if neg.size == 0:
+                return OPTIMAL
+            col = int(neg[0])
+        else:
+            col = int(np.argmin(obj[:n]))
+            if obj[col] >= -eps:
+                return OPTIMAL
+
+        column = T[:m, col]
+        eligible = column > piv_tol
+        if not np.any(eligible):
+            return UNBOUNDED
+        ratios = np.full(m, np.inf)
+        ratios[eligible] = T[:m, n][eligible] / column[eligible]
+        rmin = float(ratios.min())
+        tie = 1e-9 * (1.0 + abs(rmin))
+        candidates = np.nonzero(ratios <= rmin + tie)[0]
+        if bland:
+            row = int(candidates[np.argmin(basis[candidates])])
+        else:
+            row = int(candidates[np.argmax(column[candidates])])
+
+        if T[row, n] <= eps:
+            stall += 1
+            if stall > stall_limit:
+                bland = True
+        else:
+            stall = 0
+
+        _pivot(T, row, col)
+        basis[row] = col
+    return ITERATION_LIMIT
+
+
+# The one pivot kernel, looked up here at every solve rather than bound at
+# import: a profiler can then time the pivot loop by swapping in a wrapped
+# entry for the length of a run, without editing this module.
+_KERNELS = {"python": simplex_loop}
 
 
 def kernel_backend() -> str:
-    """Name of the pivot kernel selected at import ("compiled" or "python")."""
-    return _BACKEND
-
-
-def available_kernels() -> dict:
-    return dict(_KERNELS)
+    """Name of the pivot kernel, recorded with benchmark results."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -77,16 +136,7 @@ class _NumericalTrouble(Exception):
     pass
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-
-
-def _solve_once(loop, G, E, f, cap, eps):
+def _solve_once(G, E, f, cap, eps):
     m, k = G.shape
     p = 0 if E is None else E.shape[0]
 
@@ -129,15 +179,17 @@ def _solve_once(loop, G, E, f, cap, eps):
     T[r, ncols] = cap
     basis[r] = sigma
 
+    # Dantzig pricing finishes in a few hundred pivots on these LPs; one that
+    # runs to several stall windows has drifted, and coarser pricing recovers.
     stall_limit = 1000 + 2 * nrows
-    max_iter = 200_000
+    max_iter = 4 * stall_limit
 
     def run() -> None:
-        status = loop(T, basis, eps, _PIVOT_TOL, max_iter, stall_limit)
-        if status == _simplex_py.UNBOUNDED:
+        status = _KERNELS["python"](T, basis, eps, _PIVOT_TOL, max_iter, stall_limit)
+        if status == UNBOUNDED:
             raise _NumericalTrouble("numerically null improving column")
-        if status == _simplex_py.ITERATION_LIMIT:
-            raise InvariantViolation("simplex iteration limit exceeded")
+        if status == ITERATION_LIMIT:
+            raise _NumericalTrouble("simplex iteration limit exceeded")
 
     if p > 0:
         # Phase 1: minimize the artificial sum.
@@ -148,34 +200,26 @@ def _solve_once(loop, G, E, f, cap, eps):
         if infeas > 1e-8 * (1.0 + float(np.abs(f).sum())):
             return None
         # Pivot leftover artificials out of the basis; drop redundant rows.
-        drop_rows = []
+        keep = []
         for i in range(nrows):
-            if basis[i] < a0:
-                continue
-            entering = -1
-            for j in range(a0):
-                if abs(T[i, j]) > _PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
-                drop_rows.append(i)
-                continue
-            _pivot(T, i, entering)
-            basis[i] = entering
-        keep = [i for i in range(nrows) if i not in drop_rows]
+            if basis[i] >= a0:
+                entering = np.flatnonzero(np.abs(T[i, :a0]) > _PIVOT_TOL)
+                if entering.size == 0:
+                    continue  # no structural column left in the row: E has a redundant row
+                _pivot(T, i, int(entering[0]))
+                basis[i] = entering[0]
+            keep.append(i)
         T = np.ascontiguousarray(np.delete(T[keep + [nrows]], np.s_[a0:ncols], axis=1))
         basis = basis[keep]
         nrows = len(keep)
         ncols = a0
 
-    # Phase 2: maximize t, i.e. minimize -t+ + t-.
+    # Phase 2: maximize t, i.e. minimize -t+ + t-, priced out on the basis.
     T[nrows] = 0.0
     T[nrows, tp] = -1.0
     T[nrows, tm] = 1.0
-    for i in range(nrows):
-        cb = -1.0 if basis[i] == tp else (1.0 if basis[i] == tm else 0.0)
-        if cb != 0.0:
-            T[nrows] -= cb * T[i]
+    for i in np.flatnonzero(T[nrows, basis]):
+        T[nrows] -= T[nrows, basis[i]] * T[i]
     run()
 
     x = np.zeros(ncols)
@@ -185,14 +229,7 @@ def _solve_once(loop, G, E, f, cap, eps):
     return t_star, witness
 
 
-def lp_max_margin(
-    G,
-    E=None,
-    f=None,
-    cap: float = 1.0,
-    tol: Tol = DEFAULT_TOL,
-    kernel: str | None = None,
-) -> MarginResult:
+def lp_max_margin(G, E=None, f=None, cap: float = 1.0, tol: Tol = DEFAULT_TOL) -> MarginResult:
     """Maximize the common margin t of ``G u >= t`` subject to ``E u = f``, ``t <= cap``.
 
     Rows of G are used as given; callers wanting geometrically meaningful
@@ -216,19 +253,15 @@ def lp_max_margin(
         if E.shape[1] != k:
             raise InputError("E and G column counts differ")
 
-    loop = _KERNELS[kernel] if kernel is not None else _KERNELS[_BACKEND]
-
     eps = _PRICE_EPS
-    last = None
     for _ in range(3):
         try:
-            outcome = _solve_once(loop, G, E, f, cap, eps)
+            outcome = _solve_once(G, E, f, cap, eps)
         except _NumericalTrouble as trouble:
             last = trouble
             eps *= 100.0
             continue
         if outcome is None:
             return MarginResult(False, float("nan"), None)
-        t_star, witness = outcome
-        return MarginResult(True, t_star, witness)
+        return MarginResult(True, *outcome)
     raise InvariantViolation(f"margin LP failed numerically after escalation: {last}")

@@ -124,6 +124,13 @@ def design_matrix(A, X, v, bias: bool | None = None) -> DesignMatrix:
     return DesignMatrix(D.reshape(n, -1), X.shape[0], d1, bias_flag)
 
 
+def _zero_loss_set(D: np.ndarray, y: np.ndarray, tol: Tol):
+    particular, residual = least_squares_min_norm(D, y, tol)
+    if residual > tol.residual_tol * (1.0 + float(np.linalg.norm(y))):
+        return None
+    return particular, nullspace_basis(D, tol)
+
+
 def zero_loss_set(A, X, y, v, bias: bool | None = None, tol: Tol = DEFAULT_TOL):
     """The affine set of zero-loss parameters for the region, if any.
 
@@ -132,11 +139,7 @@ def zero_loss_set(A, X, y, v, bias: bool | None = None, tol: Tol = DEFAULT_TOL):
     pattern cannot reach the targets.
     """
     y = as_vector(y, name="y")
-    design = design_matrix(A, X, v, bias)
-    particular, residual = least_squares_min_norm(design.matrix, y, tol)
-    if residual > tol.residual_tol * (1.0 + float(np.linalg.norm(y))):
-        return None
-    return particular, nullspace_basis(design.matrix, tol)
+    return _zero_loss_set(design_matrix(A, X, v, bias).matrix, y, tol)
 
 
 def region_global_min_report(
@@ -153,11 +156,11 @@ def region_global_min_report(
     M, bias_flag = _pattern(A, bias)
     X = as_matrix(X, name="X")
     y = as_vector(y, name="y")
-    found = zero_loss_set(M, X, y, v, bias_flag, tol)
+    design = design_matrix(M, X, v, bias_flag)
+    found = _zero_loss_set(design.matrix, y, tol)
     if found is None:
         return RegionMinReport(False, None, None, float("-inf"))
     theta0, N = found
-    design = design_matrix(M, X, v, bias_flag)
     d1, n = M.shape
     Xh = embed_ones(X) if bias_flag else X
     block = design.block

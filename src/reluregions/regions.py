@@ -82,11 +82,6 @@ def count_regions_general_position(n: int, d: int, d1: int) -> int:
     return per_unit**d1
 
 
-def _margin_rows(a, X: np.ndarray) -> np.ndarray:
-    signs = 2.0 * np.asarray(a, dtype=float) - 1.0
-    return normalize_rows(signs[:, None] * X.T)
-
-
 def unit_pattern_feasible(u: UnitPattern, X, tol: Tol = DEFAULT_TOL) -> FeasibilityCert:
     """Decide whether a single unit can realize pattern ``u`` on ``X``.
 
@@ -100,8 +95,8 @@ def unit_pattern_feasible(u: UnitPattern, X, tol: Tol = DEFAULT_TOL) -> Feasibil
     if X.shape[1] != u.n:
         raise InputError(f"X has {X.shape[1]} columns but pattern has length {u.n}")
     Xh = embed_ones(X) if u.bias_flag else X
-    G = _margin_rows(u.a, Xh)
-    result = lp_max_margin(G, cap=1.0, tol=tol)
+    signs = 2.0 * np.asarray(u.a, dtype=float) - 1.0
+    result = lp_max_margin(normalize_rows(signs[:, None] * Xh.T), cap=1.0, tol=tol)
     margin = result.t
     if margin <= tol.lp_tol:
         return FeasibilityCert(False, None, margin)
@@ -171,18 +166,16 @@ def zonotope_vertex_check(S, X, tol: Tol = DEFAULT_TOL) -> bool:
 
     A Minkowski sum of segments has the subset sum of S as a vertex exactly
     when some direction w supports it strictly: <w, x_j> > 0 on S and < 0
-    off S.  That strict feasibility is decided by the margin LP on the
-    supporting-hyperplane rows.
+    off S.  That is the no-bias unit pattern that is 1 on S, decided by the
+    unit LP.
     """
     X = as_matrix(X, name="X")
     n = X.shape[1]
     S = frozenset(int(j) for j in S)
     if S and (min(S) < 0 or max(S) >= n):
         raise InputError(f"subset indices must lie in [0, {n})")
-    signs = np.array([1.0 if j in S else -1.0 for j in range(n)])
-    G = normalize_rows(signs[:, None] * X.T)
-    result = lp_max_margin(G, cap=1.0, tol=tol)
-    return result.t > tol.lp_tol
+    a = tuple(int(j in S) for j in range(n))
+    return unit_pattern_feasible(UnitPattern(a, bias_flag=False), X, tol).feasible
 
 
 def certify_general_position(X, max_n: int = 12) -> bool:

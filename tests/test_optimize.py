@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from reluregions import (
     fit_exact_1d,
     forward,
     loss,
+    lp_max_margin,
     random_complete_step_matrix,
     rational_rank,
     region_global_min_report,
     zero_loss_set,
 )
+from reluregions import experiments, optimize
 from reluregions.errors import InputError
 from reluregions.onedim import all_step_vectors
 
@@ -195,3 +199,44 @@ def test_pattern_object_round_trip():
     y = forward(p, X)
     report = region_global_min_report(pattern, X, y, p.v)
     assert report.contains_zero_loss  # the sampler's own params witness the region
+
+
+def test_drifting_margin_lp_retries_instead_of_spinning(monkeypatch):
+    # Grid seed 3400002, C10 cell (n=5, d1=93), trial 1: at the default pricing
+    # this 468x833 margin LP drifts (tableau entries near 1e11) and never converges.
+    # The tableau-sized iteration limit cuts it short and coarser pricing then
+    # reaches the cap t* = 1.  It took about 10 s when written (2 cores).
+    solves = []
+
+    def recording(G, E, f, **kwargs):
+        result = lp_max_margin(G, E, f, **kwargs)
+        solves.append((G, E, f, kwargs["cap"], result))
+        return result
+
+    monkeypatch.setattr(optimize, "lp_max_margin", recording)
+    cfg = experiments.ExperimentConfig(
+        n_values=(5,), d1_values=(93,), d0_rule="1", trials=2, seed=3400002, labels="random", init="he"
+    )
+    start = time.perf_counter()
+    contains_zero_loss, resamples = experiments._globalmin_trial(cfg, cfg.cells()[0], 0, 1)
+    elapsed = time.perf_counter() - start
+    assert contains_zero_loss and resamples == 0
+    assert elapsed < 60.0
+    [(G, E, f, cap, result)] = solves
+    assert result.t == pytest.approx(1.0, abs=1e-6)
+    assert np.all(G @ result.witness >= result.t - 1e-6)
+    assert np.allclose(E @ result.witness, f, atol=1e-9)
+
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    m, k = G.shape
+    highs = scipy_optimize.linprog(
+        c=np.r_[np.zeros(k), -1.0],
+        A_ub=np.hstack([-G, np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.hstack([E, np.zeros((E.shape[0], 1))]),
+        b_eq=f,
+        bounds=[(None, None)] * k + [(None, cap)],
+        method="highs",
+    )
+    assert highs.status == 0
+    assert result.t == pytest.approx(-highs.fun, abs=1e-6)
