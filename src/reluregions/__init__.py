@@ -3,7 +3,7 @@
 Subpackages by theme: ``linalg``/``exact``/``lp`` (numerical and exact
 kernels), ``model`` (the network and its per-region Jacobian), ``regions``
 (counting, feasibility and enumeration), ``onedim`` (the sorted 1-d theory
-and exact fitting), ``optimize`` (per-region zero-loss certification),
+and exact fitting), ``optimize`` (the per-region design matrix and zero-loss certification),
 ``funcspace`` (single-unit function space), ``experiments``/``cli`` (Monte
 Carlo grids and the command line).
 """
@@ -41,7 +41,6 @@ from .model import (
     Params,
     activation_pattern,
     forward,
-    jacobian_columns,
     jacobian_full_rank,
     loss,
 )
@@ -62,7 +61,6 @@ from .onedim import (
     witness_params_1d,
 )
 from .optimize import (
-    DesignMatrix,
     RegionMinReport,
     design_matrix,
     region_global_min_report,

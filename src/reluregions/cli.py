@@ -102,6 +102,15 @@ def _deliver(result, args) -> None:
             print(f"wrote {path}")
 
 
+def _write_lines(path: str, lines: list) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+    print(f"wrote {path}")
+
+
 def _cmd_rank_grid(args) -> int:
     _deliver(run_rank_grid(_grid_config(args)), args)
     return 0
@@ -132,12 +141,7 @@ def _cmd_enumerate(args) -> int:
             )
     print(summary)
     if args.out_csv is not None:
-        try:
-            with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out_csv}: {exc}")
-        print(f"wrote {args.out_csv}")
+        _write_lines(args.out_csv, lines)
     return 0
 
 
@@ -159,12 +163,7 @@ def _cmd_fit_1d(args) -> int:
         rows = ["unit,w,b,v"]
         for i in range(args.d1):
             rows.append(f"{i},{params.W[i, 0]!r},{params.b[i]!r},{params.v[i]!r}")
-        try:
-            with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(rows) + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out_csv}: {exc}")
-        print(f"wrote {args.out_csv}")
+        _write_lines(args.out_csv, rows)
     return 0
 
 
@@ -199,12 +198,7 @@ def _cmd_polyline(args) -> int:
                     f"{vi},{ci},{format(line.raw[vi, ci], '.6g')},"
                     f"{format(line.vertices[vi, ci], '.6g')}"
                 )
-        try:
-            with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(rows) + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out_csv}: {exc}")
-        print(f"wrote {args.out_csv}")
+        _write_lines(args.out_csv, rows)
     return 0
 
 

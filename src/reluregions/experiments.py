@@ -78,30 +78,14 @@ def resolve_d0(rule: str, n: int) -> int:
     return d0
 
 
-def _reject_duplicate_columns(X: np.ndarray, rng: np.random.Generator, draw) -> np.ndarray:
-    # Duplicate columns are a measure-zero event but would break the sorted
-    # 1-d path, so they are resampled rather than trusted away.
-    for _ in range(100):
-        _, first = np.unique(X.T, axis=0, return_index=True)
-        if first.shape[0] == X.shape[1]:
-            return X
-        dup = np.setdiff1d(np.arange(X.shape[1]), first)
-        X[:, dup] = draw(rng, X.shape[0], dup.shape[0])
-    raise InvariantViolation("could not draw distinct data columns")
-
-
 def gen_gaussian_data(d0: int, n: int, seed) -> np.ndarray:
-    """d0 x n matrix of iid standard normal entries, distinct columns."""
-    rng = _rng(seed)
-    X = rng.standard_normal((d0, n))
-    return _reject_duplicate_columns(X, rng, lambda r, d, m: r.standard_normal((d, m)))
+    """d0 x n matrix of iid standard normal entries, almost surely distinct columns."""
+    return _rng(seed).standard_normal((d0, n))
 
 
 def gen_cube_data(d0: int, n: int, seed) -> np.ndarray:
-    """d0 x n matrix of iid uniform entries on [-1, 1], distinct columns."""
-    rng = _rng(seed)
-    X = rng.uniform(-1.0, 1.0, (d0, n))
-    return _reject_duplicate_columns(X, rng, lambda r, d, m: r.uniform(-1.0, 1.0, (d, m)))
+    """d0 x n matrix of iid uniform entries on [-1, 1], almost surely distinct columns."""
+    return _rng(seed).uniform(-1.0, 1.0, (d0, n))
 
 
 def parse_labels_kind(kind: str) -> tuple[str, int | None]:

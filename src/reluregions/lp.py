@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .linalg import DEFAULT_TOL, Tol, as_matrix, as_vector
+from .linalg import as_matrix, as_vector
 
 __all__ = ["MarginResult", "lp_max_margin", "kernel_backend"]
 
@@ -229,7 +229,7 @@ def _solve_once(G, E, f, cap, eps):
     return t_star, witness
 
 
-def lp_max_margin(G, E=None, f=None, cap: float = 1.0, tol: Tol = DEFAULT_TOL) -> MarginResult:
+def lp_max_margin(G, E=None, f=None, cap: float = 1.0) -> MarginResult:
     """Maximize the common margin t of ``G u >= t`` subject to ``E u = f``, ``t <= cap``.
 
     Rows of G are used as given; callers wanting geometrically meaningful

@@ -7,7 +7,7 @@ which every unit's active/inactive status is constant; each cone is recorded
 as a binary pattern matrix with one row per unit and one column per data
 point.  On such a cone the network output is linear in the parameters and
 its Jacobian is the columnwise Kronecker product of the (v-scaled) pattern
-columns with the (bias-embedded) input columns.
+columns with the (bias-embedded) input columns (``optimize.design_matrix``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "forward",
     "loss",
     "activation_pattern",
-    "jacobian_columns",
     "jacobian_full_rank",
 ]
 
@@ -168,25 +167,6 @@ def activation_pattern(p: Params, X, tol: Tol = DEFAULT_TOL) -> tuple[Activation
     degenerate = bool(np.any(np.abs(pre) <= tol.lp_tol * scale))
     A = (pre > 0.0).astype(np.int8)
     return ActivationPattern(A, bias_flag=p.b is not None), degenerate
-
-
-def jacobian_columns(A: ActivationPattern, X, v) -> np.ndarray:
-    """Jacobian of the network output with respect to the first layer.
-
-    Column j is ``(v * A[:, j]) kron xhat_j`` where xhat appends a trailing
-    1 when the pattern carries a bias flag.  Rows follow the unit-major
-    flattening (unit block = weight coordinates then bias).
-    """
-    X = as_matrix(X, name="X")
-    v = as_vector(v, name="v")
-    if np.any(v == 0.0):
-        raise InputError("all entries of v must be nonzero")
-    if v.shape[0] != A.d1:
-        raise InputError(f"v has length {v.shape[0]} but pattern has {A.d1} rows")
-    if X.shape[1] != A.n:
-        raise InputError(f"X has {X.shape[1]} columns but pattern has {A.n}")
-    Xh = embed_ones(X) if A.bias_flag else X
-    return khatri_rao(v[:, None] * A.A, Xh)
 
 
 def jacobian_full_rank(A: ActivationPattern, X, tol: Tol = DEFAULT_TOL) -> bool:

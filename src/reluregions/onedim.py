@@ -283,7 +283,8 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
     hinge while every preactivation keeps the sign its pattern demands.
     A vanishing residual step would produce a zero hinge (and a boundary
     parameter), so that pair falls back to a shared unit-size hinge whose
-    contributions cancel exactly.
+    contributions cancel exactly.  Raises ``InputError`` when two neighbours
+    are too close for any unit switching between them to be non-degenerate.
     """
     M = A.A if isinstance(A, ActivationPattern) else np.asarray(A)
     v = as_vector(v, name="v")
@@ -301,6 +302,17 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
 
     x = D.x
     y = D.y
+    # Every switching row of the construction crosses zero at the midpoint of
+    # two neighbours.  Points so close that a unit crossing there is
+    # degenerate admit no strict fit of a complete pattern.
+    if n > 1:
+        mids = 0.5 * (x[:-1] + x[1:])
+        units = Params(np.ones((n - 1, 1)), -mids, np.ones(n - 1))
+        if activation_pattern(units, D.as_columns(), tol)[1]:
+            for j in range(n - 1):
+                unit = Params(np.ones((1, 1)), -mids[j : j + 1], np.ones(1))
+                if activation_pattern(unit, D.as_columns(), tol)[1]:
+                    raise InputError(f"points {float(x[j])!r} and {float(x[j + 1])!r} are too close to separate strictly")
 
     # Key rows: one suffix row per (threshold, output sign).
     key: dict[tuple[int, int], int] = {}
@@ -329,7 +341,9 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
             delta = float(z[0])
             if delta != 0.0:
                 sgn = 1 if delta >= 0.0 else -1
-                hinges.append((sgn, 1.0, abs(delta) - float(x[0])))
+                # Crossing at x0 - 1, as in the delta = 0 case: a unit slope
+                # would cross at x0 - |delta|, degenerate at x0 for tiny delta.
+                hinges.append((sgn, abs(delta), abs(delta) * (1.0 - float(x[0]))))
             else:
                 hinges.append((0, 1.0, 1.0 - float(x[0])))
             continue

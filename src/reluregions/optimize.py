@@ -21,6 +21,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     embed_ones,
+    khatri_rao,
     least_squares_min_norm,
     nullspace_basis,
 )
@@ -28,66 +29,11 @@ from .lp import lp_max_margin
 from .model import ActivationPattern, Params
 
 __all__ = [
-    "DesignMatrix",
     "RegionMinReport",
     "design_matrix",
     "zero_loss_set",
     "region_global_min_report",
 ]
-
-
-def _pattern(A, bias: bool | None) -> tuple[np.ndarray, bool]:
-    if isinstance(A, ActivationPattern):
-        M = A.A
-        bias_flag = A.bias_flag if bias is None else bias
-    else:
-        M = np.asarray(A)
-        if bias is None:
-            raise InputError("bias flag required when the pattern is a bare matrix")
-        bias_flag = bias
-    if M.ndim != 2 or not np.all((M == 0) | (M == 1)):
-        raise InputError("pattern must be a binary matrix")
-    return M.astype(float), bias_flag
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Matrix D with F(theta, X) = D theta inside the region.
-
-    Flattening is unit-major with a trailing bias coordinate per unit:
-    theta index (i, l) sits at column i * block + l, where block is
-    d0 + 1 with bias and d0 without.
-    """
-
-    matrix: np.ndarray
-    d0: int
-    d1: int
-    bias_flag: bool
-
-    @property
-    def block(self) -> int:
-        return self.d0 + 1 if self.bias_flag else self.d0
-
-    def col_index(self, unit: int, coord: int) -> int:
-        if not (0 <= unit < self.d1 and 0 <= coord < self.block):
-            raise InputError("design-matrix index out of range")
-        return unit * self.block + coord
-
-    def flatten(self, p: Params) -> np.ndarray:
-        if self.bias_flag:
-            if p.b is None:
-                raise InputError("pattern expects a bias but params have none")
-            return np.hstack([p.W, p.b[:, None]]).ravel()
-        return p.W.ravel()
-
-    def unflatten(self, theta, v) -> Params:
-        theta = as_vector(theta, name="theta")
-        if theta.shape[0] != self.d1 * self.block:
-            raise InputError("flattened parameter length mismatch")
-        blocks = theta.reshape(self.d1, self.block)
-        if self.bias_flag:
-            return Params(blocks[:, :-1].copy(), blocks[:, -1].copy(), v)
-        return Params(blocks.copy(), None, v)
 
 
 @dataclass(frozen=True)
@@ -106,22 +52,27 @@ class RegionMinReport:
     margin: float
 
 
-def design_matrix(A, X, v, bias: bool | None = None) -> DesignMatrix:
-    """Design matrix of the region: entry (j, (i, l)) = v_i A_ij xhat_j[l]."""
-    M, bias_flag = _pattern(A, bias)
+def design_matrix(A: ActivationPattern, X, v) -> np.ndarray:
+    """Design matrix D of the region, F(theta, X) = D theta: the Jacobian of
+    the network outputs with respect to the first layer.
+
+    Row j is ``(v * A[:, j]) kron xhat_j``, where xhat appends a trailing 1
+    when the pattern carries a bias flag.  Columns follow the unit-major
+    flattening: theta index (i, l) sits at column i * block + l, where block
+    is d0 + 1 with bias and d0 without.
+    """
+    if not isinstance(A, ActivationPattern):
+        raise InputError(f"pattern must be an ActivationPattern, got {type(A).__name__}")
     X = as_matrix(X, name="X")
     v = as_vector(v, name="v")
-    d1, n = M.shape
-    if X.shape[1] != n:
-        raise InputError(f"X has {X.shape[1]} columns but pattern has {n}")
-    if v.shape[0] != d1:
-        raise InputError(f"v has length {v.shape[0]} but pattern has {d1} rows")
+    if X.shape[1] != A.n:
+        raise InputError(f"X has {X.shape[1]} columns but pattern has {A.n}")
+    if v.shape[0] != A.d1:
+        raise InputError(f"v has length {v.shape[0]} but pattern has {A.d1} rows")
     if np.any(v == 0.0):
         raise InputError("all entries of v must be nonzero")
-    Xh = embed_ones(X) if bias_flag else X
-    # (n, d1, block): scaled copies of each embedded input column.
-    D = (v[None, :, None] * M.T[:, :, None]) * Xh.T[:, None, :]
-    return DesignMatrix(D.reshape(n, -1), X.shape[0], d1, bias_flag)
+    Xh = embed_ones(X) if A.bias_flag else X
+    return khatri_rao(v[:, None] * A.A, Xh).T
 
 
 def _zero_loss_set(D: np.ndarray, y: np.ndarray, tol: Tol):
@@ -131,7 +82,7 @@ def _zero_loss_set(D: np.ndarray, y: np.ndarray, tol: Tol):
     return particular, nullspace_basis(D, tol)
 
 
-def zero_loss_set(A, X, y, v, bias: bool | None = None, tol: Tol = DEFAULT_TOL):
+def zero_loss_set(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_TOL):
     """The affine set of zero-loss parameters for the region, if any.
 
     Returns (particular, nullspace) when the minimum-norm least-squares
@@ -139,12 +90,10 @@ def zero_loss_set(A, X, y, v, bias: bool | None = None, tol: Tol = DEFAULT_TOL):
     pattern cannot reach the targets.
     """
     y = as_vector(y, name="y")
-    return _zero_loss_set(design_matrix(A, X, v, bias).matrix, y, tol)
+    return _zero_loss_set(design_matrix(A, X, v), y, tol)
 
 
-def region_global_min_report(
-    A, X, y, v, bias: bool | None = None, tol: Tol = DEFAULT_TOL
-) -> RegionMinReport:
+def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_TOL) -> RegionMinReport:
     """Certify whether the region contains a zero-loss global minimum.
 
     Parameterizes the zero-loss affine set as theta0 + N c and maximizes
@@ -153,22 +102,20 @@ def region_global_min_report(
     cannot be handed to a QP solver directly, which is why the quadratic
     objective is replaced by this exact affine-set + margin formulation.
     """
-    M, bias_flag = _pattern(A, bias)
     X = as_matrix(X, name="X")
     y = as_vector(y, name="y")
-    design = design_matrix(M, X, v, bias_flag)
-    found = _zero_loss_set(design.matrix, y, tol)
+    found = _zero_loss_set(design_matrix(A, X, v), y, tol)
     if found is None:
         return RegionMinReport(False, None, None, float("-inf"))
     theta0, N = found
-    d1, n = M.shape
-    Xh = embed_ones(X) if bias_flag else X
-    block = design.block
+    d1, n = A.A.shape
+    Xh = embed_ones(X) if A.bias_flag else X
+    block = Xh.shape[0]
 
     # Region inequality (i, j): sign_ij * <xhat_j, theta block i> > 0,
     # composed with theta = theta0 + N c and an auxiliary variable fixed
     # to 1 carrying the constant term.
-    signs = 2.0 * M - 1.0
+    signs = 2.0 * A.A - 1.0
     rows = np.zeros((d1 * n, d1 * block))
     for i in range(d1):
         rows[i * n : (i + 1) * n, i * block : (i + 1) * block] = signs[i][:, None] * Xh.T
@@ -179,13 +126,17 @@ def region_global_min_report(
     G[nz] /= norms[nz, None]
     E = np.zeros((1, q + 1))
     E[0, q] = 1.0
-    result = lp_max_margin(G, E, np.array([1.0]), cap=1.0, tol=tol)
+    result = lp_max_margin(G, E, np.array([1.0]), cap=1.0)
     if not result.feasible:
         return RegionMinReport(False, None, int(q), float("-inf"))
     margin = result.t
     if margin <= tol.lp_tol:
         return RegionMinReport(False, None, int(q), margin)
     c = result.witness[:q]
-    theta = theta0 + N @ c if q else theta0
-    witness = design.unflatten(theta, v)
+    # Unit-major flattening: unit i owns theta[i * block : (i + 1) * block].
+    blocks = (theta0 + N @ c if q else theta0).reshape(d1, block)
+    if A.bias_flag:
+        witness = Params(blocks[:, :-1].copy(), blocks[:, -1].copy(), v)
+    else:
+        witness = Params(blocks.copy(), None, v)
     return RegionMinReport(True, witness, int(q), margin)

@@ -96,7 +96,7 @@ def unit_pattern_feasible(u: UnitPattern, X, tol: Tol = DEFAULT_TOL) -> Feasibil
         raise InputError(f"X has {X.shape[1]} columns but pattern has length {u.n}")
     Xh = embed_ones(X) if u.bias_flag else X
     signs = 2.0 * np.asarray(u.a, dtype=float) - 1.0
-    result = lp_max_margin(normalize_rows(signs[:, None] * Xh.T), cap=1.0, tol=tol)
+    result = lp_max_margin(normalize_rows(signs[:, None] * Xh.T), cap=1.0)
     margin = result.t
     if margin <= tol.lp_tol:
         return FeasibilityCert(False, None, margin)

@@ -10,6 +10,7 @@ from math import ceil, exp, lgamma, log, log1p
 import numpy as np
 
 from reluregions import (
+    ActivationPattern,
     RatMat,
     Sorted1D,
     UnitPattern,
@@ -175,15 +176,15 @@ def test_c06_codimension():
         n = int(rng.integers(2, 11))
         d1 = int(rng.integers(2 * n, 6 * n + 1))
         v = _alternating(d1)
-        A = random_complete_step_matrix(n, v, rng)
+        A = ActivationPattern(random_complete_step_matrix(n, v, rng))
         x = _sorted_x(rng, n, -1.0, 1.0)[None, :]
         y = rng.uniform(-1.0, 1.0, n)
-        found = zero_loss_set(A, x, y, v, bias=True)
+        found = zero_loss_set(A, x, y, v)
         if found is None:
             continue
         _, nullspace = found
-        D = design_matrix(A, x, v, bias=True)
-        exact_rank = rational_rank(RatMat.from_floats(D.matrix))
+        D = design_matrix(A, x, v)
+        exact_rank = rational_rank(RatMat.from_floats(D))
         good += int(nullspace.shape[1] == 2 * d1 - n and exact_rank == n)
     _report("C6 codimension law", good == 200, f"({good}/200 with dim 2*d1-n)")
 

@@ -9,7 +9,6 @@ from reluregions import (
     activation_pattern,
     embed_ones,
     forward,
-    jacobian_columns,
     jacobian_full_rank,
     khatri_rao,
     loss,
@@ -86,30 +85,6 @@ def test_activation_pattern_threshold_row():
     A, degenerate = activation_pattern(p, [[1.0, 2.0, 3.0]])
     assert not degenerate
     assert np.array_equal(A.A, [[0, 1, 1]])
-
-
-def test_jacobian_columns_single_unit():
-    A = ActivationPattern([[1, 1]], bias_flag=False)
-    out = jacobian_columns(A, [[2.0, 3.0]], [1.0])
-    assert np.array_equal(out, [[2.0, 3.0]])
-
-
-def test_jacobian_columns_zero_pattern():
-    A = ActivationPattern(np.zeros((2, 3)), bias_flag=False)
-    out = jacobian_columns(A, np.random.default_rng(0).standard_normal((2, 3)), [1.0, -1.0])
-    assert np.array_equal(out, np.zeros((4, 3)))
-
-
-def test_jacobian_columns_bias_appends_ones():
-    A = ActivationPattern([[1, 1]], bias_flag=True)
-    out = jacobian_columns(A, [[2.0, 3.0]], [1.0])
-    assert np.array_equal(out, [[2.0, 3.0], [1.0, 1.0]])
-
-
-def test_jacobian_columns_rejects_zero_v():
-    A = ActivationPattern([[1, 1]], bias_flag=False)
-    with pytest.raises(InputError):
-        jacobian_columns(A, [[2.0, 3.0]], [0.0])
 
 
 def test_jacobian_full_rank_suffix_basis():
@@ -210,19 +185,8 @@ def test_full_rank_region_reaches_any_target():
     rows = np.stack([StepVector(k, 1, n).values() for k in range(1, n + 1)])
     pattern = ActivationPattern(rows, bias_flag=True)
     assert jacobian_full_rank(pattern, x)
-    D = design_matrix(pattern, x, np.ones(n), bias=True)
+    D = design_matrix(pattern, x, np.ones(n))
     for _ in range(20):
         y = rng.uniform(-3.0, 3.0, n)
-        _, residual = least_squares_min_norm(D.matrix, y)
+        _, residual = least_squares_min_norm(D, y)
         assert residual <= 1e-8 * (1.0 + np.linalg.norm(y))
-
-
-def test_jacobian_matches_embedding_dimensions():
-    A = ActivationPattern([[1, 0, 1], [0, 1, 1]], bias_flag=True)
-    X = np.random.default_rng(2).standard_normal((2, 3))
-    out = jacobian_columns(A, X, [1.0, -1.0])
-    assert out.shape == (2 * 3, 3)
-    Xh = embed_ones(X)
-    for j in range(3):
-        expected = np.kron(np.array([1.0, -1.0]) * A.A[:, j], Xh[:, j])
-        assert np.allclose(out[:, j], expected)

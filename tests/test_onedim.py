@@ -233,6 +233,38 @@ def test_fit_exact_requires_complete():
         fit_exact_1d(A, D, _alternating(4))
 
 
+def _assert_exact_fit(p, A, D):
+    assert loss(p, Dataset(D.as_columns(), D.y)) <= 1e-8 * (1.0 + np.linalg.norm(D.y))
+    pattern, degenerate = activation_pattern(p, D.as_columns())
+    assert not degenerate and np.array_equal(pattern.A, A.astype(np.int8))
+
+
+@pytest.mark.parametrize("y0", [1e-9, -1e-9, 1e-8])
+def test_fit_exact_tiny_first_residual(y0):
+    # With d1 = 2n there are no slack rows, so the first residual is y0
+    # itself.  A unit-slope first hinge would cross zero at x0 - |y0|, where
+    # its preactivation at x0 falls under the degeneracy threshold.
+    D = Sorted1D.from_values([-0.5, 0.1, 0.4, 0.7], [y0, 0.3, -0.2, 0.5])
+    v = _alternating(8)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        A = random_complete_step_matrix(4, v, rng)
+        _assert_exact_fit(fit_exact_1d(A, D, v), A, D)
+
+
+def test_fit_exact_rejects_points_too_close_to_separate():
+    # A unit switching between 0.1 and 0.1 + gap has a preactivation of at
+    # most gap / 2 at one of them, against a threshold of lp_tol times about
+    # 1.01 (the row and point scales near x = 0.1).
+    v = _alternating(8)
+    A = random_complete_step_matrix(4, v, np.random.default_rng(37))
+    y = [0.2, -0.3, 0.4, 0.1]
+    with pytest.raises(InputError, match="too close"):
+        fit_exact_1d(A, Sorted1D.from_values([-0.5, 0.1, 0.1 + 1e-7, 0.7], y), v)
+    D = Sorted1D.from_values([-0.5, 0.1, 0.1 + 3e-7, 0.7], y)
+    _assert_exact_fit(fit_exact_1d(A, D, v), A, D)
+
+
 def test_coupon_bound_examples():
     assert coupon_collector_bound(1.0, 1, 0.5) == 1
     assert coupon_collector_bound(1.0 / 20.0, 10, 0.1) == 93

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from reluregions import (
+    ActivationPattern,
     Dataset,
     Params,
     RatMat,
     Sorted1D,
     activation_pattern,
     design_matrix,
+    embed_ones,
     fit_exact_1d,
     forward,
     loss,
@@ -36,14 +38,19 @@ def _sorted_x(rng, n):
 
 
 def test_design_matrix_single_unit_bias():
-    D = design_matrix(np.array([[1, 1]]), np.array([[2.0, 3.0]]), np.array([1.0]), bias=True)
-    assert np.array_equal(D.matrix, [[2.0, 1.0], [3.0, 1.0]])
-    assert D.col_index(0, 0) == 0 and D.col_index(0, 1) == 1
+    # The bias flag appends a trailing 1 to every input column.
+    D = design_matrix(ActivationPattern([[1, 1]]), np.array([[2.0, 3.0]]), np.array([1.0]))
+    assert np.array_equal(D, [[2.0, 1.0], [3.0, 1.0]])
+    D = design_matrix(ActivationPattern([[1, 1]], bias_flag=False), [[2.0, 3.0]], [1.0])
+    assert np.array_equal(D, [[2.0], [3.0]])
 
 
 def test_design_matrix_zero_pattern():
-    D = design_matrix(np.zeros((2, 3), dtype=int), np.ones((2, 3)), np.array([1.0, -1.0]), bias=True)
-    assert np.array_equal(D.matrix, np.zeros((3, 6)))
+    D = design_matrix(ActivationPattern(np.zeros((2, 3))), np.ones((2, 3)), np.array([1.0, -1.0]))
+    assert np.array_equal(D, np.zeros((3, 6)))
+    X = np.random.default_rng(0).standard_normal((2, 3))
+    D = design_matrix(ActivationPattern(np.zeros((2, 3)), bias_flag=False), X, [1.0, -1.0])
+    assert np.array_equal(D, np.zeros((3, 4)))
 
 
 def test_design_matrix_agrees_with_forward():
@@ -59,39 +66,52 @@ def test_design_matrix_agrees_with_forward():
         if degenerate:
             continue
         D = design_matrix(pattern, X, v)
-        assert np.allclose(D.matrix @ D.flatten(p), forward(p, X), atol=1e-10)
+        assert D.shape == (n, d1 * (d0 + 1))
+        # Row j is the Kronecker product (v * A[:, j]) kron (x_j, 1).
+        Xh = embed_ones(X)
+        for j in range(n):
+            assert np.array_equal(D[j], np.kron(v * pattern.A[:, j], Xh[:, j]))
+        theta = np.hstack([p.W, p.b[:, None]]).ravel()
+        assert np.allclose(D @ theta, forward(p, X), atol=1e-10)
 
 
 def test_design_matrix_rejects_zero_v():
+    pattern = ActivationPattern([[1, 1]])
     with pytest.raises(InputError):
-        design_matrix(np.array([[1, 1]]), np.ones((1, 2)), np.array([0.0]), bias=True)
+        design_matrix(pattern, np.ones((1, 2)), np.array([0.0]))
+    with pytest.raises(InputError):
+        design_matrix(pattern, np.ones((1, 2)), np.array([1.0, -1.0]))
+    with pytest.raises(InputError):
+        design_matrix(pattern, np.ones((1, 3)), np.array([1.0]))
+    with pytest.raises(InputError):
+        design_matrix(np.array([[1, 1]]), np.ones((1, 2)), np.array([1.0]))
 
 
 def test_zero_loss_set_complete_pattern_codimension():
     rng = np.random.default_rng(3)
     n, d1 = 5, 14
     v = _alternating(d1)
-    A = random_complete_step_matrix(n, v, rng)
+    A = ActivationPattern(random_complete_step_matrix(n, v, rng))
     X = _sorted_x(rng, n)[None, :]
     y = rng.uniform(-1.0, 1.0, n)
-    found = zero_loss_set(A, X, y, v, bias=True)
+    found = zero_loss_set(A, X, y, v)
     assert found is not None
     particular, nullspace = found
     assert nullspace.shape == (2 * d1, 2 * d1 - n)
-    D = design_matrix(A, X, v, bias=True)
-    assert np.allclose(D.matrix @ particular, y, atol=1e-8)
+    D = design_matrix(A, X, v)
+    assert np.allclose(D @ particular, y, atol=1e-8)
 
 
 def test_zero_loss_set_dead_region():
-    A = np.zeros((2, 3), dtype=int)
+    A = ActivationPattern(np.zeros((2, 3)))
     X = np.random.default_rng(4).standard_normal((1, 3))
-    assert zero_loss_set(A, X, np.array([1.0, 0.5, -0.2]), _alternating(2), bias=True) is None
+    assert zero_loss_set(A, X, np.array([1.0, 0.5, -0.2]), _alternating(2)) is None
 
 
 def test_zero_loss_set_zero_targets():
-    A = np.zeros((2, 3), dtype=int)
+    A = ActivationPattern(np.zeros((2, 3)))
     X = np.random.default_rng(5).standard_normal((1, 3))
-    found = zero_loss_set(A, X, np.zeros(3), _alternating(2), bias=True)
+    found = zero_loss_set(A, X, np.zeros(3), _alternating(2))
     assert found is not None
     particular, _ = found
     assert np.allclose(particular, 0.0)
@@ -104,7 +124,7 @@ def test_report_complete_pattern_contains_zero_loss():
     A = random_complete_step_matrix(n, v, rng)
     X = _sorted_x(rng, n)[None, :]
     y = rng.uniform(-1.0, 1.0, n)
-    report = region_global_min_report(A, X, y, v, bias=True)
+    report = region_global_min_report(ActivationPattern(A), X, y, v)
     assert report.contains_zero_loss
     assert report.solution_dim == 2 * d1 - n
     assert report.margin > 1e-7
@@ -120,8 +140,8 @@ def test_single_unit_cannot_interpolate_mixed_signs():
     y = np.array([1.0, -1.0])
     v = np.array([1.0])
     for sv in all_step_vectors(2):
-        A = sv.values()[None, :]
-        report = region_global_min_report(A, x, y, v, bias=True)
+        A = ActivationPattern(sv.values()[None, :])
+        report = region_global_min_report(A, x, y, v)
         assert not report.contains_zero_loss
     # Brute-force oracle: random search cannot push the loss near zero.
     rng = np.random.default_rng(7)
@@ -137,14 +157,14 @@ def test_report_codimension_law_with_exact_rank():
         n = int(rng.integers(2, 8))
         d1 = 2 * n + int(rng.integers(0, 2 * n))
         v = _alternating(d1)
-        A = random_complete_step_matrix(n, v, rng)
+        A = ActivationPattern(random_complete_step_matrix(n, v, rng))
         X = _sorted_x(rng, n)[None, :]
         y = rng.uniform(-1.0, 1.0, n)
-        report = region_global_min_report(A, X, y, v, bias=True)
+        report = region_global_min_report(A, X, y, v)
         assert report.contains_zero_loss
         assert report.solution_dim == 2 * d1 - n
-        D = design_matrix(A, X, v, bias=True)
-        assert rational_rank(RatMat.from_floats(D.matrix)) == n
+        D = design_matrix(A, X, v)
+        assert rational_rank(RatMat.from_floats(D)) == n
 
 
 def test_report_cross_validates_fit_exact():
@@ -157,7 +177,7 @@ def test_report_cross_validates_fit_exact():
         x = _sorted_x(rng, n)
         y = rng.uniform(-1.0, 1.0, n)
         D = Sorted1D.from_values(x, y)
-        report = region_global_min_report(A, x[None, :], y, v, bias=True)
+        report = region_global_min_report(ActivationPattern(A), x[None, :], y, v)
         assert report.contains_zero_loss
         fitted = fit_exact_1d(A, D, v)
         bound = 1e-8 * (1.0 + np.linalg.norm(y))
@@ -173,8 +193,8 @@ def test_report_invariant_under_column_permutation():
     X = _sorted_x(rng, n)[None, :]
     y = rng.uniform(-1.0, 1.0, n)
     perm = rng.permutation(n)
-    base = region_global_min_report(A, X, y, v, bias=True)
-    shuffled = region_global_min_report(A[:, perm], X[:, perm], y[perm], v, bias=True)
+    base = region_global_min_report(ActivationPattern(A), X, y, v)
+    shuffled = region_global_min_report(ActivationPattern(A[:, perm]), X[:, perm], y[perm], v)
     assert base.contains_zero_loss == shuffled.contains_zero_loss
     assert base.solution_dim == shuffled.solution_dim
 
@@ -184,8 +204,8 @@ def test_report_rank_deficient_width():
     rng = np.random.default_rng(11)
     x = _sorted_x(rng, 5)[None, :]
     y = rng.uniform(-1.0, 1.0, 5)
-    A = np.array([[1, 1, 1, 1, 1], [0, 1, 1, 1, 1]])
-    report = region_global_min_report(A, x, y, _alternating(2), bias=True)
+    A = ActivationPattern([[1, 1, 1, 1, 1], [0, 1, 1, 1, 1]])
+    report = region_global_min_report(A, x, y, _alternating(2))
     assert not report.contains_zero_loss
 
 
