@@ -7,6 +7,7 @@ from reluregions import (
     Params,
     RatMat,
     activation_pattern,
+    design_matrix,
     embed_ones,
     forward,
     jacobian_full_rank,
@@ -85,6 +86,30 @@ def test_activation_pattern_threshold_row():
     A, degenerate = activation_pattern(p, [[1.0, 2.0, 3.0]])
     assert not degenerate
     assert np.array_equal(A.A, [[0, 1, 1]])
+
+
+def test_jacobian_columns_single_unit():
+    A = ActivationPattern([[1, 1]], bias_flag=False)
+    out = design_matrix(A, [[2.0, 3.0]], [1.0]).T
+    assert np.array_equal(out, [[2.0, 3.0]])
+
+
+def test_jacobian_columns_zero_pattern():
+    A = ActivationPattern(np.zeros((2, 3)), bias_flag=False)
+    out = design_matrix(A, np.random.default_rng(0).standard_normal((2, 3)), [1.0, -1.0]).T
+    assert np.array_equal(out, np.zeros((4, 3)))
+
+
+def test_jacobian_columns_bias_appends_ones():
+    A = ActivationPattern([[1, 1]], bias_flag=True)
+    out = design_matrix(A, [[2.0, 3.0]], [1.0]).T
+    assert np.array_equal(out, [[2.0, 3.0], [1.0, 1.0]])
+
+
+def test_jacobian_columns_rejects_zero_v():
+    A = ActivationPattern([[1, 1]], bias_flag=False)
+    with pytest.raises(InputError):
+        design_matrix(A, [[2.0, 3.0]], [0.0])
 
 
 def test_jacobian_full_rank_suffix_basis():
@@ -190,3 +215,14 @@ def test_full_rank_region_reaches_any_target():
         y = rng.uniform(-3.0, 3.0, n)
         _, residual = least_squares_min_norm(D, y)
         assert residual <= 1e-8 * (1.0 + np.linalg.norm(y))
+
+
+def test_jacobian_matches_embedding_dimensions():
+    A = ActivationPattern([[1, 0, 1], [0, 1, 1]], bias_flag=True)
+    X = np.random.default_rng(2).standard_normal((2, 3))
+    out = design_matrix(A, X, [1.0, -1.0]).T
+    assert out.shape == (2 * 3, 3)
+    Xh = embed_ones(X)
+    for j in range(3):
+        expected = np.kron(np.array([1.0, -1.0]) * A.A[:, j], Xh[:, j])
+        assert np.allclose(out[:, j], expected)

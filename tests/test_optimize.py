@@ -11,7 +11,6 @@ from reluregions import (
     Sorted1D,
     activation_pattern,
     design_matrix,
-    embed_ones,
     fit_exact_1d,
     forward,
     loss,
@@ -38,19 +37,13 @@ def _sorted_x(rng, n):
 
 
 def test_design_matrix_single_unit_bias():
-    # The bias flag appends a trailing 1 to every input column.
     D = design_matrix(ActivationPattern([[1, 1]]), np.array([[2.0, 3.0]]), np.array([1.0]))
     assert np.array_equal(D, [[2.0, 1.0], [3.0, 1.0]])
-    D = design_matrix(ActivationPattern([[1, 1]], bias_flag=False), [[2.0, 3.0]], [1.0])
-    assert np.array_equal(D, [[2.0], [3.0]])
 
 
 def test_design_matrix_zero_pattern():
     D = design_matrix(ActivationPattern(np.zeros((2, 3))), np.ones((2, 3)), np.array([1.0, -1.0]))
     assert np.array_equal(D, np.zeros((3, 6)))
-    X = np.random.default_rng(0).standard_normal((2, 3))
-    D = design_matrix(ActivationPattern(np.zeros((2, 3)), bias_flag=False), X, [1.0, -1.0])
-    assert np.array_equal(D, np.zeros((3, 4)))
 
 
 def test_design_matrix_agrees_with_forward():
@@ -66,11 +59,6 @@ def test_design_matrix_agrees_with_forward():
         if degenerate:
             continue
         D = design_matrix(pattern, X, v)
-        assert D.shape == (n, d1 * (d0 + 1))
-        # Row j is the Kronecker product (v * A[:, j]) kron (x_j, 1).
-        Xh = embed_ones(X)
-        for j in range(n):
-            assert np.array_equal(D[j], np.kron(v * pattern.A[:, j], Xh[:, j]))
         theta = np.hstack([p.W, p.b[:, None]]).ravel()
         assert np.allclose(D @ theta, forward(p, X), atol=1e-10)
 
