@@ -31,6 +31,7 @@ from .model import Dataset
 from .model import loss as model_loss
 from .onedim import Sorted1D, fit_exact_1d, random_complete_step_matrix
 from .regions import (
+    GENERAL_POSITION_MAX_N,
     certify_general_position,
     count_regions_general_position,
     enumerate_feasible_unit_patterns,
@@ -124,20 +125,19 @@ def _cmd_globalmin_grid(args) -> int:
 def _cmd_enumerate(args) -> int:
     d0 = resolve_d0(args.d0, args.n)
     X = gen_gaussian_data(d0, args.n, args.seed)
-    patterns = enumerate_feasible_unit_patterns(X, limit=args.limit, bias=args.bias, tol=_tol(args))
+    patterns = enumerate_feasible_unit_patterns(X, bias=args.bias, tol=_tol(args))
     lines = ["pattern"]
     for u in patterns:
         text = "".join(str(bit) for bit in u.a)
         print(text)
         lines.append(text)
     summary = f"feasible unit patterns: {len(patterns)}"
-    if args.n <= 12:
+    if args.n <= GENERAL_POSITION_MAX_N:
         Xeff = embed_ones(X) if args.bias else X
         if certify_general_position(Xeff):
-            d = min(Xeff.shape[0], args.n)
             summary += (
                 " (general position; counting law gives "
-                f"{count_regions_general_position(args.n, d, 1)})"
+                f"{count_regions_general_position(args.n, Xeff.shape[0], 1)})"
             )
     print(summary)
     if args.out_csv is not None:
@@ -162,7 +162,7 @@ def _cmd_fit_1d(args) -> int:
     if args.out_csv is not None:
         rows = ["unit,w,b,v"]
         for i in range(args.d1):
-            rows.append(f"{i},{params.W[i, 0]!r},{params.b[i]!r},{params.v[i]!r}")
+            rows.append(f"{i},{float(params.W[i, 0])!r},{float(params.b[i])!r},{float(params.v[i])!r}")
         _write_lines(args.out_csv, rows)
     return 0
 
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bias", dest="bias", action="store_true", default=False)
     p.add_argument("--no-bias", dest="bias", action="store_false")
-    p.add_argument("--limit", type=int, default=16)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(run=_cmd_enumerate)

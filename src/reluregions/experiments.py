@@ -48,6 +48,7 @@ __all__ = [
 CSV_HEADER = "experiment,d0,d1,n,trials,seed,metric,value,resamples"
 MAX_N = 30
 MAX_D1 = 400
+MAX_RESAMPLE = 100
 D0_RULES = ("n/4", "n/2", "n", "2n")
 INIT_SCHEMES = ("sqrtd1", "he")
 
@@ -164,7 +165,6 @@ class ExperimentConfig:
     bias: bool = True
     tol: Tol = field(default_factory=Tol)
     workers: int = 1
-    max_resample: int = 100
 
     def __post_init__(self) -> None:
         n_values = tuple(int(n) for n in self.n_values)
@@ -222,7 +222,7 @@ def _trial_rng(cfg: ExperimentConfig, cell_index: int, trial_index: int, attempt
 
 def _rank_trial(cfg: ExperimentConfig, cell, cell_index: int, trial_index: int):
     n, d0, d1 = cell
-    for attempt in range(cfg.max_resample):
+    for attempt in range(MAX_RESAMPLE):
         rng = _trial_rng(cfg, cell_index, trial_index, attempt)
         X = gen_gaussian_data(d0, n, rng)
         params = init_params(cfg.init, d0, d1, rng, bias=cfg.bias)
@@ -235,7 +235,7 @@ def _rank_trial(cfg: ExperimentConfig, cell, cell_index: int, trial_index: int):
 
 def _globalmin_trial(cfg: ExperimentConfig, cell, cell_index: int, trial_index: int):
     n, d0, d1 = cell
-    for attempt in range(cfg.max_resample):
+    for attempt in range(MAX_RESAMPLE):
         rng = _trial_rng(cfg, cell_index, trial_index, attempt)
         X = gen_cube_data(d0, n, rng)
         y = gen_labels(cfg.labels, X, rng, d1=d1, init=cfg.init, bias=cfg.bias)

@@ -60,7 +60,7 @@ class Polyline:
         return best
 
 
-def relu_polyline(D: Sorted1D, merge_tol: float = 1e-12) -> Polyline:
+def relu_polyline(D: Sorted1D) -> Polyline:
     """Normalized vertex polyline of single-unit outputs on sorted data.
 
     Needs at least two distinct points (with one point the normalized
@@ -88,7 +88,7 @@ def relu_polyline(D: Sorted1D, merge_tol: float = 1e-12) -> Polyline:
     vertices = raw / sums[:, None]
     keep = [0]
     for i in range(1, vertices.shape[0]):
-        if np.linalg.norm(vertices[i] - vertices[keep[-1]]) > merge_tol:
+        if np.linalg.norm(vertices[i] - vertices[keep[-1]]) > 1e-12:  # merge coincident vertices
             keep.append(i)
     return Polyline(vertices[keep], raw[keep])
 

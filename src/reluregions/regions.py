@@ -3,12 +3,12 @@
 A unit's candidate pattern is a binary vector over the data points; the
 pattern is realizable exactly when the open cone
 ``{ w : (2 a_j - 1) <w, xhat_j> > 0 for all j }`` is non-empty, which is
-decided by a margin LP.  Because units have independent parameters, a full
-pattern matrix is realizable iff each of its rows is, and the number of
-realizable per-unit patterns for data in general position follows the
-classical hyperplane-arrangement count.  Realizable patterns are also the
-vertex labels of the zonotope obtained as the Minkowski sum of the segments
-[0, x_j]; both routes are implemented and tested against each other.
+decided by a margin LP.  Units have independent parameters, so a pattern
+matrix is realizable iff each of its rows is.  Per-unit patterns are
+enumerated by extending realizable prefixes (every prefix of one is
+realizable) with O(n * #patterns) LPs; for data in general position their
+number follows the hyperplane-arrangement count.  They are also the vertex
+labels of the zonotope sum_j [0, x_j]; both routes are tested together.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ __all__ = [
     "certify_general_position",
 ]
 
-ENUMERATION_LIMIT = 16
+MAX_ENUMERATED_PATTERNS = 2**16
+GENERAL_POSITION_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -122,24 +123,22 @@ def region_nonempty(A: ActivationPattern, X, tol: Tol = DEFAULT_TOL) -> bool:
 
 
 def enumerate_feasible_unit_patterns(
-    X,
-    limit: int = ENUMERATION_LIMIT,
-    bias: bool = False,
-    tol: Tol = DEFAULT_TOL,
-    use_fast_path: bool = True,
+    X, bias: bool = False, tol: Tol = DEFAULT_TOL, use_fast_path: bool = True
 ) -> list[UnitPattern]:
     """All realizable per-unit patterns, in lexicographic order.
 
-    Exhaustive scan of all 2**n candidates (one LP each), refused above
-    ``limit`` points.  For one-dimensional data with a bias, realizable
-    patterns are exactly the one-switch threshold patterns, so a sorted
-    fast path returns them directly without any LP; ``use_fast_path=False``
-    forces the LP route (the two are tested against each other).
+    Breadth-first prefix search: each realizable pattern on the first j
+    points is extended by bit 0, then bit 1, and kept if feasible on j + 1
+    points; O(n * #patterns) LPs.  Refused when Cover's bound on the count,
+    valid for any data, exceeds ``MAX_ENUMERATED_PATTERNS``.  With a bias on
+    one-dimensional data a sorted fast path returns the one-switch threshold
+    patterns without any LP; ``use_fast_path=False`` forces the LP route.
     """
     X = as_matrix(X, name="X")
     n = X.shape[1]
-    if n > limit:
-        raise InputError(f"enumeration over 2^{n} patterns exceeds limit {limit}")
+    bound = count_regions_general_position(n, X.shape[0] + int(bias), 1)
+    if bound > MAX_ENUMERATED_PATTERNS:
+        raise InputError(f"Cover's bound of {bound} patterns exceeds {MAX_ENUMERATED_PATTERNS}")
 
     if use_fast_path and bias and X.shape[0] == 1:
         x = X[0]
@@ -153,12 +152,12 @@ def enumerate_feasible_unit_patterns(
                 patterns.add(tuple(1 - prefix))
             return [UnitPattern(a, True) for a in sorted(patterns)]
 
-    out = []
-    for code in range(2**n):
-        a = tuple((code >> (n - 1 - j)) & 1 for j in range(n))
-        if unit_pattern_feasible(UnitPattern(a, bias), X, tol).feasible:
-            out.append(UnitPattern(a, bias))
-    return sorted(out, key=lambda u: u.a)
+    prefixes = [()]
+    for j in range(n):
+        Xj = X[:, : j + 1]
+        prefixes = [p + (bit,) for p in prefixes for bit in (0, 1)
+                    if unit_pattern_feasible(UnitPattern(p + (bit,), bias), Xj, tol).feasible]
+    return [UnitPattern(a, bias) for a in prefixes]
 
 
 def zonotope_vertex_check(S, X, tol: Tol = DEFAULT_TOL) -> bool:
@@ -178,19 +177,19 @@ def zonotope_vertex_check(S, X, tol: Tol = DEFAULT_TOL) -> bool:
     return unit_pattern_feasible(UnitPattern(a, bias_flag=False), X, tol).feasible
 
 
-def certify_general_position(X, max_n: int = 12) -> bool:
+def certify_general_position(X) -> bool:
     """Exact general-position certificate for the columns of X.
 
     Checks, in rational arithmetic on the float-snapped entries, that every
     subset of min(d, n) columns has full rank; this implies any k <= d
     columns are linearly independent.  Guards the counting law, which holds
-    only for general-position data; refuses more than ``max_n`` columns,
-    the subset scan being exponential.
+    only for general-position data; refuses more than
+    ``GENERAL_POSITION_MAX_N`` columns, the subset scan being exponential.
     """
     X = as_matrix(X, name="X")
     d, n = X.shape
-    if n > max_n:
-        raise InputError(f"general-position check limited to {max_n} columns, got {n}")
+    if n > GENERAL_POSITION_MAX_N:
+        raise InputError(f"general-position check limited to {GENERAL_POSITION_MAX_N} columns, got {n}")
     k = min(d, n)
     for cols in combinations(range(n), k):
         sub = RatMat.from_floats(X[:, cols])

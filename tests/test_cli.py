@@ -1,7 +1,8 @@
 import numpy as np
 
 from reluregions.cli import main
-from reluregions.experiments import CSV_HEADER
+from reluregions.experiments import CSV_HEADER, gen_labels
+from reluregions.model import Dataset, Params, loss
 
 
 def test_rank_grid_stdout(capsys):
@@ -85,8 +86,17 @@ def test_fit_1d_success(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "loss=" in out
-    assert out_csv.read_text(encoding="utf-8").startswith("unit,w,b,v")
+    lines = out_csv.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "unit,w,b,v"
+    cells = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:]])
+    assert cells.shape == (16, 3)
+    # Same draw as the command: sorted uniform x, then random labels.
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.uniform(-1.0, 1.0, 4))
+    y = gen_labels("random", x[None, :], rng, d1=16)
+    fit = loss(Params(cells[:, :1], cells[:, 1], cells[:, 2]), Dataset(x[None, :], y))
+    assert fit < 1e-20
+    assert f"loss={fit:.3e}" in out
 
 
 def test_fit_1d_width_too_small(capsys):
@@ -119,6 +129,7 @@ def test_bad_arguments_exit_one(capsys):
     assert main(["rank-grid", "--d0", "1", "--d1-min", "2"]) == 1  # missing --n-min
     assert main(["polyline", "--x", "zero,one"]) == 1
     assert main(["singularity", "--dims", "2", "--trials", "0"]) == 1
+    assert main(["enumerate-regions", "--d0", "n", "--n", "17"]) == 1  # 2^17 > 2^16 patterns
     capsys.readouterr()
 
 

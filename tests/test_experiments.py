@@ -16,9 +16,11 @@ from reluregions import (
     run_rank_grid,
     run_singularity_study,
 )
-from reluregions.errors import InputError
+from reluregions import experiments
+from reluregions.errors import InputError, InvariantViolation
 from reluregions.experiments import (
     CSV_HEADER,
+    MAX_RESAMPLE,
     GridResult,
     emit_outputs,
     grid_csv_text,
@@ -135,6 +137,22 @@ def test_rank_grid_impossible_width_is_zero():
     cfg = ExperimentConfig(n_values=(6,), d1_values=(2,), d0_rule="1", trials=20, seed=1)
     result = run_rank_grid(cfg)
     assert result.cells[0].value == 0.0
+
+
+def test_resample_budget_exhausted_raises(monkeypatch):
+    calls = []
+
+    def always_degenerate(params, X, tol):
+        calls.append(1)
+        return activation_pattern(params, X, tol)[0], True
+
+    monkeypatch.setattr(experiments, "activation_pattern", always_degenerate)
+    cfg = ExperimentConfig(n_values=(3,), d1_values=(2,), trials=1, seed=4)
+    for run in (run_rank_grid, run_globalmin_grid):
+        calls.clear()
+        with pytest.raises(InvariantViolation, match="resample budget"):
+            run(cfg)
+        assert len(calls) == MAX_RESAMPLE
 
 
 def test_rank_grid_high_dimension_saturates():

@@ -15,6 +15,18 @@ from reluregions import (
 )
 from reluregions.errors import InputError
 from reluregions.model import Params
+from reluregions.regions import MAX_ENUMERATED_PATTERNS
+
+
+def _scan_all_candidates(X, bias):
+    # Reference: one LP per candidate over all 2^n patterns, sorted.
+    n = X.shape[1]
+    out = []
+    for code in range(2**n):
+        a = tuple((code >> (n - 1 - j)) & 1 for j in range(n))
+        if unit_pattern_feasible(UnitPattern(a, bias), X).feasible:
+            out.append(UnitPattern(a, bias))
+    return sorted(out, key=lambda u: u.a)
 
 
 def _sorted_x(rng, n):
@@ -114,9 +126,38 @@ def test_enumerate_full_cube_when_dimension_dominates():
     assert len(patterns) == 8
 
 
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_enumerate_matches_exhaustive_scan(d, bias):
+    rng = np.random.default_rng(61 + 2 * d + bias)
+    for n in (1, 3, 6, 10):
+        X = rng.standard_normal((d, n))
+        zero_col = X.copy()
+        zero_col[:, n // 2] = 0.0
+        cases = [X, zero_col]
+        if n > 1:
+            dup_col = X.copy()
+            dup_col[:, -1] = dup_col[:, 0]
+            cases.append(dup_col)
+        for Y in cases:
+            # Same list in the same order, not just the same set.
+            assert enumerate_feasible_unit_patterns(Y, bias=bias) == _scan_all_candidates(Y, bias)
+
+
+def test_enumerate_beyond_exhaustive_reach():
+    X = np.random.default_rng(67).standard_normal((2, 40))
+    patterns = enumerate_feasible_unit_patterns(X, bias=False)
+    assert len(patterns) == count_regions_general_position(40, 2, 1) == 80
+    assert [u.a for u in patterns] == sorted(u.a for u in patterns)
+
+
 def test_enumerate_limit_refusal():
-    with pytest.raises(InputError):
-        enumerate_feasible_unit_patterns(np.zeros((1, 20)), limit=16)
+    X = np.random.default_rng(71).standard_normal((17, 17))
+    assert count_regions_general_position(17, 17, 1) > MAX_ENUMERATED_PATTERNS
+    with pytest.raises(InputError, match=str(2**17)):
+        enumerate_feasible_unit_patterns(X, bias=False)
+    # The bound depends on the data's dimension, not on the number of points.
+    assert len(enumerate_feasible_unit_patterns(np.zeros((1, 20)))) == 0
 
 
 def test_enumerate_counts_match_formula_sampled():
