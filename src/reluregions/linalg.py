@@ -1,8 +1,9 @@
 """Dense real linear algebra with explicit tolerances.
 
 Everything here is a thin, contract-checked layer over numpy's SVD/lstsq
-machinery.  All rank decisions in the package funnel through ``mat_rank`` so
-that a single relative singular-value threshold governs them.
+machinery.  All rank decisions in the package (``mat_rank`` and
+``nullspace_basis``) share one rule, ``_rank``, so that a single relative
+singular-value threshold governs them.
 """
 
 from __future__ import annotations
@@ -96,6 +97,13 @@ def normalize_rows(G) -> np.ndarray:
     return out
 
 
+def _rank(s: np.ndarray, tol: Tol) -> int:
+    """Count of singular values ``s`` (descending) above ``rank_tol`` times the largest."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol.rank_tol * s[0]))
+
+
 def mat_rank(M, tol: Tol = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_tol`` times the largest.
 
@@ -104,10 +112,7 @@ def mat_rank(M, tol: Tol = DEFAULT_TOL) -> int:
     A = as_matrix(M, name="M")
     if A.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
+    return _rank(np.linalg.svd(A, compute_uv=False), tol)
 
 
 def nullspace_basis(M, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -120,11 +125,7 @@ def nullspace_basis(M, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     if A.size == 0:
         return np.eye(cols)[:, :cols] if cols else np.zeros((0, 0))
     _, s, vt = np.linalg.svd(A)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.rank_tol * s[0]))
-    return vt[rank:].T.copy()
+    return vt[_rank(s, tol):].T.copy()
 
 
 def least_squares_min_norm(M, y, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, float]:

@@ -1,14 +1,16 @@
-"""Dense two-phase primal simplex for margin maximization.
+"""Dense primal simplex for margin maximization.
 
 Solves
 
-    maximize t  subject to  G u >= t * 1,  E u = f (optional),  t <= cap
+    maximize t  subject to  G u + h >= t * 1,  t <= cap
 
-with free variables ``u`` and ``t``.  The problem is feasible if and only if
-the equality system alone is: given any u with E u = f, every small enough t
-satisfies the margin rows.  A positive optimum certifies a strictly feasible
-point of ``G u > 0`` on the affine set, which is how the package certifies
-membership in open polyhedral regions.
+with free variables ``u`` and ``t`` and a constant offset ``h`` (zero by
+default).  The problem is always feasible: any u together with t = min h
+satisfies every margin row.  The simplex starts from that point (u = 0, one
+pivot when min h < 0), so it needs no phase 1.  A positive optimum
+certifies a strictly feasible point of ``G u + h > 0``, which is how the
+package certifies membership in open polyhedral regions, and, with the
+offset, that an affine set theta0 + N c meets one.
 
 The objective is bounded by construction (t <= cap), so a kernel report of
 "unbounded" can only mean a numerically null improving column slipped past
@@ -121,147 +123,99 @@ def kernel_backend() -> str:
 
 @dataclass(frozen=True)
 class MarginResult:
-    """Outcome of a margin LP.
+    """Optimal margin ``t`` of a margin LP and the ``u`` attaining it."""
 
-    ``feasible`` is False only when the equality system E u = f has no
-    solution; in that case ``t`` and ``witness`` are meaningless.
-    """
-
-    feasible: bool
     t: float
-    witness: np.ndarray | None
+    witness: np.ndarray
 
 
 class _NumericalTrouble(Exception):
     pass
 
 
-def _solve_once(G, E, f, cap, eps):
+def _solve_once(G, h, cap, eps):
     m, k = G.shape
-    p = 0 if E is None else E.shape[0]
 
-    # Standard-form layout: u+ (k), u- (k), t+, t-, margin slacks (m),
-    # cap slack, artificials (p).  All free variables are split.
+    # Standard-form layout: u+ (k), u- (k), t+, t-, margin slacks (m), cap
+    # slack.  All free variables are split.
     tp = 2 * k
     tm = 2 * k + 1
     s0 = 2 * k + 2
     sigma = s0 + m
-    a0 = sigma + 1
-    ncols = a0 + p
-    nrows = m + p + 1
+    ncols = sigma + 1
+    nrows = m + 1
 
     T = np.zeros((nrows + 1, ncols + 1))
     basis = np.empty(nrows, dtype=np.int64)
 
-    # Margin rows, written as  -G_i u + t + s_i = 0  so each slack starts basic.
+    # Margin rows, written as  -G_i u + t + s_i = h_i  so each slack starts basic.
     T[:m, 0:k] = -G
     T[:m, k : 2 * k] = G
     T[:m, tp] = 1.0
     T[:m, tm] = -1.0
     T[np.arange(m), s0 + np.arange(m)] = 1.0
+    T[:m, ncols] = h
     basis[:m] = s0 + np.arange(m)
 
-    # Equality rows, sign-flipped so the right-hand side is nonnegative.
-    for j in range(p):
-        sign = 1.0 if f[j] >= 0.0 else -1.0
-        r = m + j
-        T[r, 0:k] = sign * E[j]
-        T[r, k : 2 * k] = -sign * E[j]
-        T[r, a0 + j] = 1.0
-        T[r, ncols] = sign * f[j]
-        basis[r] = a0 + j
-
     # Cap row: t + sigma = cap.
-    r = m + p
-    T[r, tp] = 1.0
-    T[r, tm] = -1.0
-    T[r, sigma] = 1.0
-    T[r, ncols] = cap
-    basis[r] = sigma
+    T[m, tp] = 1.0
+    T[m, tm] = -1.0
+    T[m, sigma] = 1.0
+    T[m, ncols] = cap
+    basis[m] = sigma
+
+    # A negative offset leaves the slack basis infeasible.  Pivoting t- in at
+    # the most negative row (pivot element -1) sets t = min h, which meets
+    # every margin row, and every right-hand side becomes h_i - min h >= 0
+    # (cap - min h > 0 on the cap row).
+    if m and h.min() < 0.0:
+        r = int(np.argmin(h))
+        _pivot(T, r, tm)
+        basis[r] = tm
 
     # Dantzig pricing finishes in a few hundred pivots on these LPs; one that
     # runs to several stall windows has drifted, and coarser pricing recovers.
     stall_limit = 1000 + 2 * nrows
     max_iter = 4 * stall_limit
 
-    def run() -> None:
-        status = _KERNELS["python"](T, basis, eps, _PIVOT_TOL, max_iter, stall_limit)
-        if status == UNBOUNDED:
-            raise _NumericalTrouble("numerically null improving column")
-        if status == ITERATION_LIMIT:
-            raise _NumericalTrouble("simplex iteration limit exceeded")
-
-    if p > 0:
-        # Phase 1: minimize the artificial sum.
-        T[nrows] = -T[m : m + p].sum(axis=0)
-        T[nrows, a0:ncols] = 0.0
-        run()
-        infeas = -T[nrows, ncols]
-        if infeas > 1e-8 * (1.0 + float(np.abs(f).sum())):
-            return None
-        # Pivot leftover artificials out of the basis; drop redundant rows.
-        keep = []
-        for i in range(nrows):
-            if basis[i] >= a0:
-                entering = np.flatnonzero(np.abs(T[i, :a0]) > _PIVOT_TOL)
-                if entering.size == 0:
-                    continue  # no structural column left in the row: E has a redundant row
-                _pivot(T, i, int(entering[0]))
-                basis[i] = entering[0]
-            keep.append(i)
-        T = np.ascontiguousarray(np.delete(T[keep + [nrows]], np.s_[a0:ncols], axis=1))
-        basis = basis[keep]
-        nrows = len(keep)
-        ncols = a0
-
-    # Phase 2: maximize t, i.e. minimize -t+ + t-, priced out on the basis.
-    T[nrows] = 0.0
+    # Maximize t, i.e. minimize -t+ + t-, priced out on the basis.
     T[nrows, tp] = -1.0
     T[nrows, tm] = 1.0
     for i in np.flatnonzero(T[nrows, basis]):
         T[nrows] -= T[nrows, basis[i]] * T[i]
-    run()
+    status = _KERNELS["python"](T, basis, eps, _PIVOT_TOL, max_iter, stall_limit)
+    if status == UNBOUNDED:
+        raise _NumericalTrouble("numerically null improving column")
+    if status == ITERATION_LIMIT:
+        raise _NumericalTrouble("simplex iteration limit exceeded")
 
     x = np.zeros(ncols)
     x[basis] = T[np.arange(nrows), ncols]
-    t_star = float(x[tp] - x[tm])
-    witness = x[0:k] - x[k : 2 * k]
-    return t_star, witness
+    return MarginResult(float(x[tp] - x[tm]), x[0:k] - x[k : 2 * k])
 
 
-def lp_max_margin(G, E=None, f=None, cap: float = 1.0) -> MarginResult:
-    """Maximize the common margin t of ``G u >= t`` subject to ``E u = f``, ``t <= cap``.
+def lp_max_margin(G, h=None, cap: float = 1.0) -> MarginResult:
+    """Maximize the common margin t of ``G u + h >= t``, ``t <= cap``.
 
-    Rows of G are used as given; callers wanting geometrically meaningful
-    margins should normalize rows first.  ``cap`` must be positive: the
-    margin constraints are satisfiable at t = 0 for any u in the equality
-    set, so the cap is what keeps the objective bounded.
+    ``h`` is a constant offset per row, zero when omitted.  The LP is always
+    feasible (t = min h with any u), and ``cap`` must be positive to keep
+    the objective bounded.  G may have no columns: the optimum is then
+    min(min h, cap).  Rows of G and h are used as given; callers wanting
+    geometrically meaningful margins should normalize the rows of [G h].
     """
     G = as_matrix(G, name="G")
-    _, k = G.shape
-    if k < 1:
-        raise InputError("G must have at least one column")
+    m = G.shape[0]
     if not (cap > 0.0):
         raise InputError(f"cap must be positive, got {cap!r}")
-    if (E is None) != (f is None):
-        raise InputError("E and f must be supplied together")
-    if E is not None:
-        E = as_matrix(E, name="E")
-        f = as_vector(f, name="f")
-        if E.shape[0] != f.shape[0]:
-            raise InputError("E and f row counts differ")
-        if E.shape[1] != k:
-            raise InputError("E and G column counts differ")
+    h = np.zeros(m) if h is None else as_vector(h, name="h")
+    if h.shape[0] != m:
+        raise InputError(f"h has length {h.shape[0]}, expected {m}")
 
     eps = _PRICE_EPS
     for _ in range(3):
         try:
-            outcome = _solve_once(G, E, f, cap, eps)
+            return _solve_once(G, h, cap, eps)
         except _NumericalTrouble as trouble:
             last = trouble
             eps *= 100.0
-            continue
-        if outcome is None:
-            return MarginResult(False, float("nan"), None)
-        return MarginResult(True, *outcome)
     raise InvariantViolation(f"margin LP failed numerically after escalation: {last}")

@@ -23,6 +23,7 @@ from .linalg import (
     embed_ones,
     khatri_rao,
     least_squares_min_norm,
+    normalize_rows,
     nullspace_basis,
 )
 from .lp import lp_max_margin
@@ -113,28 +114,20 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
     block = Xh.shape[0]
 
     # Region inequality (i, j): sign_ij * <xhat_j, theta block i> > 0,
-    # composed with theta = theta0 + N c and an auxiliary variable fixed
-    # to 1 carrying the constant term.
+    # composed with theta = theta0 + N c: row (i, j) of G[:, :q] c + G[:, q]
+    # must be positive, the trailing column being the constant offset.
     signs = 2.0 * A.A - 1.0
     rows = np.zeros((d1 * n, d1 * block))
     for i in range(d1):
         rows[i * n : (i + 1) * n, i * block : (i + 1) * block] = signs[i][:, None] * Xh.T
     q = N.shape[1]
-    G = np.hstack([rows @ N, (rows @ theta0)[:, None]])
-    norms = np.linalg.norm(G, axis=1)
-    nz = norms > 0.0
-    G[nz] /= norms[nz, None]
-    E = np.zeros((1, q + 1))
-    E[0, q] = 1.0
-    result = lp_max_margin(G, E, np.array([1.0]), cap=1.0)
-    if not result.feasible:
-        return RegionMinReport(False, None, int(q), float("-inf"))
+    G = normalize_rows(np.hstack([rows @ N, (rows @ theta0)[:, None]]))
+    result = lp_max_margin(G[:, :q], h=G[:, q], cap=1.0)
     margin = result.t
     if margin <= tol.lp_tol:
         return RegionMinReport(False, None, int(q), margin)
-    c = result.witness[:q]
     # Unit-major flattening: unit i owns theta[i * block : (i + 1) * block].
-    blocks = (theta0 + N @ c if q else theta0).reshape(d1, block)
+    blocks = (theta0 + N @ result.witness).reshape(d1, block)
     if A.bias_flag:
         witness = Params(blocks[:, :-1].copy(), blocks[:, -1].copy(), v)
     else:

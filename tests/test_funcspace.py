@@ -5,7 +5,6 @@ from reluregions import (
     Sorted1D,
     discrete_convexity_check,
     least_squares_min_norm,
-    lp_max_margin,
     relu_polyline,
     single_relu_membership,
 )
@@ -133,13 +132,13 @@ def test_nonneg_sums_convex_and_in_hull():
         combo = sum(c * o for c, o in zip(coeffs, outputs))
         assert discrete_convexity_check(combo, D)
         # normalized combination lies in the convex hull of the normalized
-        # unit outputs (hull membership via the margin LP's equality path)
+        # unit outputs, with the weights lambda_i = c_i * sum(o_i) / sum(combo)
         norm_units = np.stack([o / o.sum() for o in outputs])
         target = combo / combo.sum()
-        E = np.vstack([norm_units.T, np.ones((1, m))])
-        f = np.concatenate([target, [1.0]])
-        result = lp_max_margin(np.eye(m), E=E, f=f, cap=1.0)
-        assert result.feasible and result.t >= -1e-8
+        weights = coeffs * np.array([o.sum() for o in outputs]) / combo.sum()
+        assert np.all(weights >= 0.0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(weights @ norm_units, target, atol=1e-12)
 
 
 def test_arbitrary_sums_in_affine_hull():

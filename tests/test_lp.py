@@ -23,13 +23,11 @@ def kernel_entry(request, monkeypatch):
 
 def test_opposing_rows_pin_margin_at_zero(kernel_entry):
     r = lp_max_margin(np.array([[1.0], [-1.0]]), cap=1.0)
-    assert r.feasible
     assert r.t == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_row_hits_cap(kernel_entry):
     r = lp_max_margin(np.array([[1.0]]), cap=1.0)
-    assert r.feasible
     assert r.t == pytest.approx(1.0, abs=1e-9)
     assert r.witness[0] >= 1.0 - 1e-9
 
@@ -40,27 +38,33 @@ def test_midpoint_pattern_is_strictly_feasible(kernel_entry):
     a = np.array([0.0, 1.0, 1.0])
     G = normalize_rows((2 * a - 1)[:, None] * np.column_stack([x, np.ones(3)]))
     r = lp_max_margin(G, cap=1.0)
-    assert r.feasible and r.t > 1e-7
+    assert r.t > 1e-7
     w, b = r.witness
     assert np.array_equal(w * x + b > 0, a.astype(bool))
 
 
-def test_equality_only_infeasibility_detected(kernel_entry):
-    r = lp_max_margin(np.array([[1.0]]), E=np.array([[1.0], [1.0]]), f=np.array([1.0, 2.0]), cap=1.0)
-    assert not r.feasible
-
-
 def test_equality_pins_value(kernel_entry):
-    r = lp_max_margin(np.array([[1.0]]), E=np.array([[1.0]]), f=np.array([0.5]), cap=1.0)
-    assert r.feasible
+    # A zero column leaves only the offset: t* = h when h is below the cap.
+    r = lp_max_margin(np.array([[0.0]]), h=np.array([0.5]), cap=1.0)
     assert r.t == pytest.approx(0.5, abs=1e-9)
-    assert r.witness[0] == pytest.approx(0.5, abs=1e-9)
+    assert r.witness.shape == (1,)
 
 
 def test_negative_optimum_reported(kernel_entry):
-    r = lp_max_margin(np.array([[1.0]]), E=np.array([[1.0]]), f=np.array([-0.3]), cap=1.0)
-    assert r.feasible
+    # min h < 0 takes the start pivot on t-; the optimum may stay there ...
+    r = lp_max_margin(np.array([[0.0]]), h=np.array([-0.3]), cap=1.0)
     assert r.t == pytest.approx(-0.3, abs=1e-9)
+    # ... or move on from it: max_u min(u - 0.3, 0.1 - u) = -0.1 at u = 0.2.
+    r = lp_max_margin(np.array([[1.0], [-1.0]]), h=np.array([-0.3, 0.1]), cap=1.0)
+    assert r.t == pytest.approx(-0.1, abs=1e-9)
+    assert r.witness[0] == pytest.approx(0.2, abs=1e-9)
+
+
+def test_no_free_columns_gives_offset_minimum(kernel_entry):
+    for h, expected in (([0.4, -0.2, 0.7], -0.2), ([0.4, 0.9], 0.4), ([2.0, 3.0], 1.0)):
+        r = lp_max_margin(np.zeros((len(h), 0)), h=np.array(h), cap=1.0)
+        assert r.t == pytest.approx(expected, abs=1e-12)
+        assert r.witness.shape == (0,)
 
 
 def test_witness_satisfies_constraints(kernel_entry):
@@ -70,41 +74,32 @@ def test_witness_satisfies_constraints(kernel_entry):
         k = int(rng.integers(1, 5))
         G = normalize_rows(rng.standard_normal((m, k)))
         r = lp_max_margin(G, cap=1.0)
-        assert r.feasible
         assert np.all(G @ r.witness >= r.t - 1e-8)
         assert r.t <= 1.0 + 1e-9
 
 
-def _sampled_margin(G, E, f, trials=100_000, seed=0):
-    """Brute-force oracle: best margin among random points projected to E u = f."""
+def _sampled_margin(G, h, trials=100_000, seed=0):
+    """Brute-force oracle: best margin of G u + h among random points u."""
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((trials, G.shape[1]))
-    if E is not None:
-        pinv = np.linalg.pinv(E)
-        U = U - (U @ E.T - f) @ pinv.T
-    return float(np.max(np.min(U @ G.T, axis=1)))
+    return float(np.max(np.min(U @ G.T + h, axis=1)))
 
 
 def test_strict_feasibility_matches_sampling_oracle():
     # On instances with <= 4 variables, margin > lp_tol iff a strictly
-    # feasible point exists.  Random sampling projected to the equality set
-    # is the independent oracle; when an unusually thin cone defeats 1e5
-    # samples, the LP's own witness is checked as the strictly feasible
-    # point instead, so the certificate never rests on the solver alone.
+    # feasible point exists.  Random sampling is the independent oracle; when
+    # an unusually thin cone defeats 1e5 samples, the LP's own witness is
+    # checked as the strictly feasible point instead, so the certificate
+    # never rests on the solver alone.
     rng = np.random.default_rng(31)
     checked_pos = checked_neg = found_by_sampling = 0
     for case in range(40):
         k = int(rng.integers(1, 5))
         m = int(rng.integers(1, 7))
         G = normalize_rows(rng.standard_normal((m, k)))
-        if case % 2:
-            E = rng.standard_normal((1, k))
-            f = rng.standard_normal(1)
-        else:
-            E, f = None, None
-        r = lp_max_margin(G, E=E, f=f, cap=1.0)
-        assert r.feasible
-        sampled = _sampled_margin(G, E, f, seed=case)
+        h = rng.standard_normal(m) if case % 2 else np.zeros(m)
+        r = lp_max_margin(G, h=h, cap=1.0)
+        sampled = _sampled_margin(G, h, seed=case)
         if sampled > 1e-7:
             # brute force found a strictly feasible point: the LP must agree
             assert r.t > 1e-7
@@ -114,25 +109,42 @@ def test_strict_feasibility_matches_sampling_oracle():
             if sampled > 0.0:
                 found_by_sampling += 1
             else:
-                w = r.witness
-                assert np.min(G @ w) >= r.t - 1e-8
-                if E is not None:
-                    assert np.allclose(E @ w, f, atol=1e-8)
-        elif E is None and r.t <= 1e-7:
+                assert np.min(G @ r.witness + h) >= r.t - 1e-8
+        elif not h.any() and r.t <= 1e-7:
             # cone with empty interior: no sample may achieve a positive margin
             assert sampled <= 1e-9
             checked_neg += 1
-        elif E is not None and r.t < -1e-3:
+        elif r.t < -1e-3:
             assert sampled <= r.t + 1e-6
             checked_neg += 1
     assert checked_pos >= 5 and checked_neg >= 5
     assert found_by_sampling >= 0.8 * checked_pos
 
 
+def test_offset_optimum_matches_highs():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        m = int(rng.integers(1, 30))
+        k = int(rng.integers(0, 7))
+        G = rng.standard_normal((m, k))
+        h = rng.standard_normal(m)
+        r = lp_max_margin(G, h=h, cap=1.0)
+        assert np.all(G @ r.witness + h >= r.t - 1e-8)
+        highs = scipy_optimize.linprog(
+            c=np.r_[np.zeros(k), -1.0],
+            A_ub=np.hstack([-G, np.ones((m, 1))]),
+            b_ub=h,
+            bounds=[(None, None)] * k + [(None, 1.0)],
+            method="highs",
+        )
+        assert highs.status == 0
+        assert r.t == pytest.approx(-highs.fun, abs=1e-7)
+
+
 def test_degenerate_duplicate_rows_terminate(kernel_entry):
     G = normalize_rows(np.array([[1.0, 1.0]] * 40 + [[-1.0, 1.0]] * 40 + [[0.5, -1.0]] * 40))
     r = lp_max_margin(G, cap=1.0)
-    assert r.feasible
     assert np.all(G @ r.witness >= r.t - 1e-8)
 
 
@@ -140,19 +152,9 @@ def test_input_validation():
     with pytest.raises(InputError):
         lp_max_margin(np.array([[1.0]]), cap=0.0)
     with pytest.raises(InputError):
-        lp_max_margin(np.array([[1.0]]), E=np.array([[1.0]]))
+        lp_max_margin(np.array([[1.0], [2.0]]), h=np.array([1.0]))
     with pytest.raises(InputError):
-        lp_max_margin(np.array([[1.0]]), E=np.array([[1.0, 2.0]]), f=np.array([1.0]))
-
-
-def test_redundant_equality_row_is_dropped_after_phase_one():
-    # E has rank 1: phase 1 leaves an artificial basic in an all-zero row, which is dropped.
-    E = np.array([[1.0, 1.0], [2.0, 2.0]])
-    f = np.array([1.0, 2.0])
-    r = lp_max_margin(np.eye(2), E=E, f=f, cap=1.0)
-    assert r.feasible
-    assert np.allclose(E @ r.witness, f, atol=1e-9)
-    assert r.t == pytest.approx(0.5, abs=1e-9)  # u = (1/2, 1/2) maximizes min(u1, u2) on u1 + u2 = 1
+        lp_max_margin(np.array([[1.0]]), h=np.array([np.inf]))
 
 
 def test_iteration_limit_retries_with_coarser_pricing(monkeypatch):

@@ -20,7 +20,7 @@ from reluregions import (
     region_global_min_report,
     zero_loss_set,
 )
-from reluregions import experiments, optimize
+from reluregions import experiments, lp, optimize
 from reluregions.errors import InputError
 from reluregions.onedim import all_step_vectors
 
@@ -210,18 +210,27 @@ def test_pattern_object_round_trip():
 
 
 def test_drifting_margin_lp_retries_instead_of_spinning(monkeypatch):
-    # Grid seed 3400002, C10 cell (n=5, d1=93), trial 1: at the default pricing
-    # this 468x833 margin LP drifts (tableau entries near 1e11) and never converges.
-    # The tableau-sized iteration limit cuts it short and coarser pricing then
-    # reaches the cap t* = 1.  It took about 10 s when written (2 cores).
+    # Grid seed 3400002, C10 cell (n=5, d1=93), trial 1.  Solved with an
+    # equality row pinning an extra variable to 1 (a 468x833 tableau), this
+    # margin LP drifted (tableau entries near 1e11) until the iteration limit,
+    # and only coarser pricing reached the cap t* = 1, about 10 s on 2 cores.
+    # In the offset form (467x831) it no longer drifts: one kernel call at the
+    # default pricing, about 0.5 s.
     solves = []
+    kernel_calls = []
+    loop = lp._KERNELS["python"]
 
-    def recording(G, E, f, **kwargs):
-        result = lp_max_margin(G, E, f, **kwargs)
-        solves.append((G, E, f, kwargs["cap"], result))
+    def recording(G, h, cap):
+        result = lp_max_margin(G, h=h, cap=cap)
+        solves.append((G, h, cap, result))
         return result
 
+    def counted(*args):
+        kernel_calls.append(args[2])
+        return loop(*args)
+
     monkeypatch.setattr(optimize, "lp_max_margin", recording)
+    monkeypatch.setitem(lp._KERNELS, "python", counted)
     cfg = experiments.ExperimentConfig(
         n_values=(5,), d1_values=(93,), d0_rule="1", trials=2, seed=3400002, labels="random", init="he"
     )
@@ -229,22 +238,42 @@ def test_drifting_margin_lp_retries_instead_of_spinning(monkeypatch):
     contains_zero_loss, resamples = experiments._globalmin_trial(cfg, cfg.cells()[0], 0, 1)
     elapsed = time.perf_counter() - start
     assert contains_zero_loss and resamples == 0
-    assert elapsed < 60.0
-    [(G, E, f, cap, result)] = solves
+    assert elapsed < 10.0
+    assert kernel_calls == [lp._PRICE_EPS]
+    [(G, h, cap, result)] = solves
     assert result.t == pytest.approx(1.0, abs=1e-6)
-    assert np.all(G @ result.witness >= result.t - 1e-6)
-    assert np.allclose(E @ result.witness, f, atol=1e-9)
+    assert np.all(G @ result.witness + h >= result.t - 1e-6)
 
     scipy_optimize = pytest.importorskip("scipy.optimize")
     m, k = G.shape
     highs = scipy_optimize.linprog(
         c=np.r_[np.zeros(k), -1.0],
         A_ub=np.hstack([-G, np.ones((m, 1))]),
-        b_ub=np.zeros(m),
-        A_eq=np.hstack([E, np.zeros((E.shape[0], 1))]),
-        b_eq=f,
+        b_ub=h,
         bounds=[(None, None)] * k + [(None, cap)],
         method="highs",
     )
     assert highs.status == 0
     assert result.t == pytest.approx(-highs.fun, abs=1e-6)
+
+
+def test_report_passes_offset_as_keyword(monkeypatch):
+    # perfbench's tracer reads a positional second argument (or E=) as
+    # equality rows, and so as a solve with a phase 1; the offset must
+    # travel as h= with G the only positional argument.
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return lp_max_margin(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "lp_max_margin", recording)
+    rng = np.random.default_rng(13)
+    n, d1 = 4, 12
+    v = _alternating(d1)
+    A = ActivationPattern(random_complete_step_matrix(n, v, rng))
+    report = region_global_min_report(A, _sorted_x(rng, n)[None, :], rng.uniform(-1.0, 1.0, n), v)
+    assert report.contains_zero_loss
+    [(args, kwargs)] = calls
+    assert len(args) == 1 and sorted(kwargs) == ["cap", "h"]
+    assert kwargs["h"].shape == (args[0].shape[0],)
