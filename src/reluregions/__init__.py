@@ -9,7 +9,7 @@ Carlo grids and the command line).
 """
 
 from .errors import InputError, InvariantViolation
-from .exact import RatMat, binary_matrix_is_singular, int_rank, rational_rank
+from .exact import binary_matrix_is_singular, int_rank, rational_rank
 from .experiments import (
     CellResult,
     ExperimentConfig,

@@ -1,83 +1,42 @@
-"""Exact rational-arithmetic rank oracle.
+"""Exact rank oracle over Python integers.
 
-Ranks computed here are ground truth: rows are scaled to integers (binary
-floats are exact rationals, so snapping a float matrix loses nothing) and a
-fraction-free Bareiss elimination over Python integers counts the pivots.
+Ranks computed here are ground truth.  There is one elimination,
+``int_rank``: fraction-free Bareiss over Python integers, which never
+rounds.  ``rational_rank`` takes a 2-d array-like of ints, Fractions or
+finite floats (a binary float is the exact rational it stores, so 0.1 is
+not 1/10), clears each row's denominators and counts ``int_rank``'s pivots.
+``binary_matrix_is_singular`` is ``int_rank`` on a square 0/1 matrix.
 Used to validate every floating-point rank decision in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import index
 
 import numpy as np
 
 from .errors import InputError
 
-__all__ = ["RatMat", "rational_rank", "int_rank", "binary_matrix_is_singular"]
-
-
-@dataclass(frozen=True)
-class RatMat:
-    """Immutable matrix of exact rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple  # flat, row-major, Fraction
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError(
-                f"entry count {len(self.entries)} does not match {self.rows}x{self.cols}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows) -> "RatMat":
-        rows = [list(r) for r in rows]
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        if any(len(r) != nc for r in rows):
-            raise InputError("inconsistent row lengths")
-        flat = tuple(Fraction(v) for r in rows for v in r)
-        return cls(nr, nc, flat)
-
-    @classmethod
-    def from_floats(cls, M) -> "RatMat":
-        """Snap a float matrix to exact rationals (binary floats are rational)."""
-        A = np.asarray(M, dtype=float)
-        if A.ndim != 2:
-            raise InputError("expected a 2-d array")
-        if not np.all(np.isfinite(A)):
-            raise InputError("non-finite entry cannot be represented as a rational")
-        return cls.from_rows(A.tolist())
-
-    def row(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def to_int_rows(self) -> list:
-        """Clear denominators row by row; rank is unchanged."""
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            denom_lcm = 1
-            for v in r:
-                d = v.denominator
-                denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-            out.append([int(v * denom_lcm) for v in r])
-        return out
+__all__ = ["rational_rank", "int_rank", "binary_matrix_is_singular"]
 
 
 def int_rank(rows) -> int:
-    """Exact rank of an integer matrix via fraction-free Bareiss elimination."""
-    M = [list(map(int, r)) for r in rows]
+    """Exact rank of an integer matrix via fraction-free Bareiss elimination.
+
+    Entries must be integers (anything ``operator.index`` accepts) and rows
+    must all have the same length; anything else raises ``InputError``.
+    """
+    try:
+        M = [list(map(index, r)) for r in rows]
+    except TypeError:
+        raise InputError("int_rank expects rows of integer entries") from None
     nr = len(M)
     if nr == 0:
         return 0
     nc = len(M[0])
+    if any(len(r) != nc for r in M):
+        raise InputError("inconsistent row lengths")
     rank = 0
     prev = 1
     col = 0
@@ -108,42 +67,45 @@ def int_rank(rows) -> int:
     return rank
 
 
-def rational_rank(M: RatMat) -> int:
-    """Exact rank of a rational matrix."""
-    if not isinstance(M, RatMat):
-        raise InputError("rational_rank expects a RatMat")
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    return int_rank(M.to_int_rows())
+def _ratio(v) -> tuple:
+    """(numerator, denominator) of an int, Fraction or float, exactly."""
+    if isinstance(v, (float, np.floating)):
+        return v.as_integer_ratio()  # raises on inf and nan
+    return v.numerator, v.denominator
+
+
+def rational_rank(M) -> int:
+    """Exact rank of a 2-d array-like of ints, Fractions or finite floats.
+
+    Each row is scaled by the lcm of its denominators, which leaves the rank
+    unchanged, and the integer rows go to ``int_rank``.
+    """
+    try:
+        A = np.asarray(M, dtype=object)
+    except ValueError:  # rows that are arrays of unequal shape
+        raise InputError("expected a 2-d matrix") from None
+    if A.ndim != 2:
+        raise InputError(f"expected a 2-d matrix, got {A.ndim}-d")
+    try:
+        ratios = [[_ratio(v) for v in r] for r in A.tolist()]
+    except (AttributeError, OverflowError, ValueError):
+        raise InputError("entries must be ints, Fractions or finite floats") from None
+    rows = []
+    for r in ratios:
+        den = lcm(*(q for _, q in r))
+        rows.append([p * (den // q) for p, q in r])
+    return int_rank(rows)
 
 
 def binary_matrix_is_singular(M) -> bool:
-    """Exact singularity test for a square 0/1 matrix.
-
-    Bareiss over int64 is exact here: intermediate entries are minors of a
-    0/1 matrix, bounded by Hadamard's inequality (< 3e6 for d <= 12), so the
-    int64 products never overflow.  Larger matrices fall back to Python ints.
-    """
-    A = np.asarray(M)
-    d = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != d:
+    """Exact singularity test for a square 0/1 matrix."""
+    try:
+        A = np.asarray(M)
+    except ValueError:  # ragged rows
+        raise InputError("expected a square matrix") from None
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("expected a square matrix")
-    if not np.all((A == 0) | (A == 1)):
+    ones = A == 1
+    if not np.all(ones | (A == 0)):
         raise InputError("expected 0/1 entries")
-    if d == 0:
-        return False
-    if d > 12:
-        return int_rank(A.astype(object).tolist()) < d
-    W = A.astype(np.int64).copy()
-    prev = np.int64(1)
-    for k in range(d - 1):
-        nz = np.nonzero(W[k:, k])[0]
-        if nz.size == 0:
-            return True
-        piv = k + int(nz[0])
-        if piv != k:
-            W[[k, piv]] = W[[piv, k]]
-        p = W[k, k]
-        W[k + 1 :, :] = (W[k + 1 :, :] * p - np.outer(W[k + 1 :, k], W[k, :])) // prev
-        prev = p
-    return bool(W[d - 1, d - 1] == 0)
+    return int_rank(ones.astype(int).tolist()) < len(A)

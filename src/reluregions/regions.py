@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .errors import InputError
-from .exact import RatMat, rational_rank
+from .exact import rational_rank
 from .linalg import DEFAULT_TOL, Tol, as_matrix, embed_ones, normalize_rows
 from .lp import lp_max_margin
 from .model import ActivationPattern
@@ -192,7 +192,6 @@ def certify_general_position(X) -> bool:
         raise InputError(f"general-position check limited to {GENERAL_POSITION_MAX_N} columns, got {n}")
     k = min(d, n)
     for cols in combinations(range(n), k):
-        sub = RatMat.from_floats(X[:, cols])
-        if rational_rank(sub) < k:
+        if rational_rank(X[:, cols]) < k:
             return False
     return True

@@ -11,7 +11,6 @@ import numpy as np
 
 from reluregions import (
     ActivationPattern,
-    RatMat,
     Sorted1D,
     UnitPattern,
     activation_pattern,
@@ -126,7 +125,7 @@ def test_c04_diverse_full_rank():
         A = np.concatenate([np.stack(rows), sample_step_matrix(n, extra, rng)]) if extra else np.stack(rows)
         A = A[rng.permutation(A.shape[0])]
         assert is_diverse(A)
-        full_rank += int(rational_rank(RatMat.from_rows(A.tolist())) == n)
+        full_rank += int(rational_rank(A) == n)
     freqs = {}
     for n in (5, 10):
         d1 = width_thresholds(n, 0.1).no_bad_minima
@@ -184,7 +183,7 @@ def test_c06_codimension():
             continue
         _, nullspace = found
         D = design_matrix(A, x, v)
-        exact_rank = rational_rank(RatMat.from_floats(D))
+        exact_rank = rational_rank(D)
         good += int(nullspace.shape[1] == 2 * d1 - n and exact_rank == n)
     _report("C6 codimension law", good == 200, f"({good}/200 with dim 2*d1-n)")
 

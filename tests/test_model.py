@@ -5,7 +5,6 @@ from reluregions import (
     ActivationPattern,
     Dataset,
     Params,
-    RatMat,
     activation_pattern,
     design_matrix,
     embed_ones,
@@ -139,7 +138,7 @@ def test_jacobian_full_rank_iff_no_zero_column_when_d0_is_n():
         A[:, rng.random(n) < 0.2] = 0
         nonzero = int(np.count_nonzero(A.any(axis=0)))
         J = khatri_rao(A.astype(float), embed_ones(X))
-        assert rational_rank(RatMat.from_floats(J)) == nonzero
+        assert rational_rank(J) == nonzero
         full = jacobian_full_rank(ActivationPattern(A, bias_flag=True), X)
         assert full == (nonzero == n)
         outcomes.append(full)
@@ -171,7 +170,7 @@ def test_head_never_changes_rank_exact():
         v = rng.choice([-2, -1, 1, 2], size=d1)
         scaled = khatri_rao((v[:, None] * A).astype(float), X.astype(float))
         plain = khatri_rao(A.astype(float), X.astype(float))
-        assert rational_rank(RatMat.from_floats(scaled)) == rational_rank(RatMat.from_floats(plain))
+        assert rational_rank(scaled) == rational_rank(plain)
 
 
 def test_forward_linear_within_region():

@@ -3,7 +3,6 @@ import pytest
 
 from reluregions import (
     Dataset,
-    RatMat,
     Sorted1D,
     UnitPattern,
     activation_pattern,
@@ -106,7 +105,7 @@ def test_diverse_implies_full_rank_exact():
         A = A[rng.permutation(A.shape[0])]
         if not is_diverse(A):
             continue
-        assert rational_rank(RatMat.from_rows(A.tolist())) == n
+        assert rational_rank(A) == n
 
 
 def test_complete_example_and_negations():

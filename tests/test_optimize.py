@@ -7,7 +7,6 @@ from reluregions import (
     ActivationPattern,
     Dataset,
     Params,
-    RatMat,
     Sorted1D,
     activation_pattern,
     design_matrix,
@@ -152,7 +151,7 @@ def test_report_codimension_law_with_exact_rank():
         assert report.contains_zero_loss
         assert report.solution_dim == 2 * d1 - n
         D = design_matrix(A, X, v)
-        assert rational_rank(RatMat.from_floats(D)) == n
+        assert rational_rank(D) == n
 
 
 def test_report_cross_validates_fit_exact():
