@@ -2,15 +2,13 @@
 
 Solves
 
-    maximize t  subject to  G u + h >= t * 1,  t <= cap
+    maximize t  subject to  G u >= t * 1,  t <= cap
 
-with free variables ``u`` and ``t`` and a constant offset ``h`` (zero by
-default).  The problem is always feasible: any u together with t = min h
-satisfies every margin row.  The simplex starts from that point (u = 0, one
-pivot when min h < 0), so it needs no phase 1.  A positive optimum
-certifies a strictly feasible point of ``G u + h > 0``, which is how the
-package certifies membership in open polyhedral regions, and, with the
-offset, that an affine set theta0 + N c meets one.
+with free variables ``u`` and ``t``.  The problem is always feasible (u = 0,
+t = 0), and the simplex starts from that point with every slack basic, so it
+needs no phase 1.  A positive optimum certifies a strictly feasible point of
+``G u > 0``, which is how the package certifies membership in open
+polyhedral regions; the cone is scale-free, so that optimum is ``cap``.
 
 The objective is bounded by construction (t <= cap), so a kernel report of
 "unbounded" can only mean a numerically null improving column slipped past
@@ -21,7 +19,7 @@ the optimal margin, never overstate it, so certificates stay conservative.
 
 The pivot loop is the hot kernel of the whole package: region enumeration
 solves one LP per candidate pattern and the Monte Carlo grids solve one
-medium-sized LP per trial.  Its rules:
+small LP per trial.  Its rules:
 
 * pricing: Dantzig (most negative reduced cost, first index on ties), with a
   permanent switch to Bland's rule after too many consecutive degenerate
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix
 
 __all__ = ["MarginResult", "lp_max_margin", "kernel_backend"]
 
@@ -133,7 +131,7 @@ class _NumericalTrouble(Exception):
     pass
 
 
-def _solve_once(G, h, cap, eps):
+def _solve_once(G, cap, eps):
     m, k = G.shape
 
     # Standard-form layout: u+ (k), u- (k), t+, t-, margin slacks (m), cap
@@ -148,13 +146,12 @@ def _solve_once(G, h, cap, eps):
     T = np.zeros((nrows + 1, ncols + 1))
     basis = np.empty(nrows, dtype=np.int64)
 
-    # Margin rows, written as  -G_i u + t + s_i = h_i  so each slack starts basic.
+    # Margin rows, written as  -G_i u + t + s_i = 0  so each slack starts basic.
     T[:m, 0:k] = -G
     T[:m, k : 2 * k] = G
     T[:m, tp] = 1.0
     T[:m, tm] = -1.0
     T[np.arange(m), s0 + np.arange(m)] = 1.0
-    T[:m, ncols] = h
     basis[:m] = s0 + np.arange(m)
 
     # Cap row: t + sigma = cap.
@@ -163,15 +160,6 @@ def _solve_once(G, h, cap, eps):
     T[m, sigma] = 1.0
     T[m, ncols] = cap
     basis[m] = sigma
-
-    # A negative offset leaves the slack basis infeasible.  Pivoting t- in at
-    # the most negative row (pivot element -1) sets t = min h, which meets
-    # every margin row, and every right-hand side becomes h_i - min h >= 0
-    # (cap - min h > 0 on the cap row).
-    if m and h.min() < 0.0:
-        r = int(np.argmin(h))
-        _pivot(T, r, tm)
-        basis[r] = tm
 
     # Dantzig pricing finishes in a few hundred pivots on these LPs; one that
     # runs to several stall windows has drifted, and coarser pricing recovers.
@@ -194,27 +182,23 @@ def _solve_once(G, h, cap, eps):
     return MarginResult(float(x[tp] - x[tm]), x[0:k] - x[k : 2 * k])
 
 
-def lp_max_margin(G, h=None, cap: float = 1.0) -> MarginResult:
-    """Maximize the common margin t of ``G u + h >= t``, ``t <= cap``.
+def lp_max_margin(G, cap: float = 1.0) -> MarginResult:
+    """Maximize the common margin t of ``G u >= t``, ``t <= cap``.
 
-    ``h`` is a constant offset per row, zero when omitted.  The LP is always
-    feasible (t = min h with any u), and ``cap`` must be positive to keep
-    the objective bounded.  G may have no columns: the optimum is then
-    min(min h, cap).  Rows of G and h are used as given; callers wanting
-    geometrically meaningful margins should normalize the rows of [G h].
+    The LP is always feasible (u = 0, t = 0), and ``cap`` must be positive
+    to keep the objective bounded.  G may have no columns: the optimum is
+    then 0, or ``cap`` when G has no rows either.  Rows of G are used as
+    given; callers wanting geometrically meaningful margins should
+    normalize them.
     """
     G = as_matrix(G, name="G")
-    m = G.shape[0]
     if not (cap > 0.0):
         raise InputError(f"cap must be positive, got {cap!r}")
-    h = np.zeros(m) if h is None else as_vector(h, name="h")
-    if h.shape[0] != m:
-        raise InputError(f"h has length {h.shape[0]}, expected {m}")
 
     eps = _PRICE_EPS
     for _ in range(3):
         try:
-            return _solve_once(G, h, cap, eps)
+            return _solve_once(G, cap, eps)
         except _NumericalTrouble as trouble:
             last = trouble
             eps *= 100.0

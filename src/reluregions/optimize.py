@@ -4,8 +4,14 @@ Within a fixed activation region the network output is linear in the
 flattened first-layer parameters, F(theta) = D theta for an explicit design
 matrix D.  Zero-loss parameters therefore form an affine set (when the
 targets are reachable at all), and the region contains a zero-loss global
-minimum exactly when that affine set meets the open region cone, which is
-certified by maximizing the region margin over the affine set with an LP.
+minimum exactly when that affine set meets the open region cone.  Units
+with the same pattern row and the same sign of v are first merged into one,
+which leaves that answer unchanged and shrinks the problem to at most one
+unit per distinct (row, sign).  The question is then posed as a homogeneous
+margin LP (Charnes-Cooper: the affine set becomes a cone with one extra
+coordinate), whose optimum is the cap when the answer is yes and 0 when it
+is no, so ``lp_tol`` separates two well-separated values and does not move
+these verdicts.
 """
 
 from __future__ import annotations
@@ -43,8 +49,11 @@ class RegionMinReport:
 
     ``contains_zero_loss`` is a certificate for zero-loss minima only:
     regions whose best loss is positive are reported False without further
-    analysis.  ``solution_dim`` is the dimension of the zero-loss affine
-    set (when one exists), and ``margin`` the optimized interior margin.
+    analysis (``solution_dim`` None, ``margin`` -inf).  ``solution_dim`` is
+    the dimension of the zero-loss affine set of the full network (when one
+    exists), and ``margin`` the optimum of the homogeneous margin LP: 1.0
+    (its cap) when the set meets the open region and 0.0 when it does not,
+    up to roundoff.
     """
 
     contains_zero_loss: bool
@@ -97,39 +106,59 @@ def zero_loss_set(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_TOL):
 def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_TOL) -> RegionMinReport:
     """Certify whether the region contains a zero-loss global minimum.
 
-    Parameterizes the zero-loss affine set as theta0 + N c and maximizes
-    the (row-normalized) region margin over c; margin above ``lp_tol``
-    certifies a strictly interior zero-loss point.  Strict inequalities
-    cannot be handed to a QP solver directly, which is why the quadratic
-    objective is replaced by this exact affine-set + margin formulation.
+    Units with the same pattern row and the same sign of v are merged into
+    one unit of that sign: a positive sum of points of their common open
+    cone stays in the cone, so the merged pattern has a zero-loss point
+    exactly when the region does.  Its zero-loss set theta0 + span N meets
+    the open region exactly when R N c + tau R theta0 / |theta0| > 0 has a
+    solution with tau > 0 (R the region's sign rows), and then
+    theta0 + N c |theta0| / tau is a strictly interior zero-loss point.
+    Strict inequalities cannot be handed to a QP solver directly, which is
+    why the quadratic objective is replaced by this exact affine-set +
+    margin formulation.
     """
     X = as_matrix(X, name="X")
     y = as_vector(y, name="y")
-    found = _zero_loss_set(design_matrix(A, X, v), y, tol)
+    v = as_vector(v, name="v")
+    if not isinstance(A, ActivationPattern):
+        raise InputError(f"pattern must be an ActivationPattern, got {type(A).__name__}")
+    if v.shape[0] != A.d1:
+        raise InputError(f"v has length {v.shape[0]} but pattern has {A.d1} rows")
+    if np.any(v == 0.0):
+        raise InputError("all entries of v must be nonzero")
+    classes: dict = {}
+    label = np.array([classes.setdefault((row.tobytes(), s), len(classes)) for row, s in zip(A.A, v > 0.0)])
+    first = np.unique(label, return_index=True)[1]
+    merged = ActivationPattern(A.A[first], A.bias_flag)
+    D = design_matrix(merged, X, np.sign(v[first]))
+    found = _zero_loss_set(D, y, tol)
     if found is None:
         return RegionMinReport(False, None, None, float("-inf"))
     theta0, N = found
-    d1, n = A.A.shape
     Xh = embed_ones(X) if A.bias_flag else X
+    C, n = merged.A.shape
     block = Xh.shape[0]
-
-    # Region inequality (i, j): sign_ij * <xhat_j, theta block i> > 0,
-    # composed with theta = theta0 + N c: row (i, j) of G[:, :q] c + G[:, q]
-    # must be positive, the trailing column being the constant offset.
-    signs = 2.0 * A.A - 1.0
-    rows = np.zeros((d1 * n, d1 * block))
-    for i in range(d1):
-        rows[i * n : (i + 1) * n, i * block : (i + 1) * block] = signs[i][:, None] * Xh.T
     q = N.shape[1]
-    G = normalize_rows(np.hstack([rows @ N, (rows @ theta0)[:, None]]))
-    result = lp_max_margin(G[:, :q], h=G[:, q], cap=1.0)
+    solution_dim = A.d1 * block - (C * block - q)
+
+    # Region inequality (c, j): (2 A_cj - 1) <xhat_j, theta block c> > 0,
+    # taken on the columns of [N, theta0 / |theta0|] (theta0 = 0 drops the
+    # tau column, and with it the row tau >= t).
+    scale = float(np.linalg.norm(theta0))
+    cols = np.hstack([N, theta0[:, None] / scale]) if scale > 0.0 else N
+    rows = (2.0 * merged.A - 1.0)[:, :, None] * (Xh.T @ cols.reshape(C, block, cols.shape[1]))
+    G = normalize_rows(rows.reshape(C * n, cols.shape[1]))
+    if scale > 0.0:
+        G = np.vstack([G, np.eye(1, q + 1, q)])
+    result = lp_max_margin(G, cap=1.0)
     margin = result.t
     if margin <= tol.lp_tol:
-        return RegionMinReport(False, None, int(q), margin)
-    # Unit-major flattening: unit i owns theta[i * block : (i + 1) * block].
-    blocks = (theta0 + N @ result.witness).reshape(d1, block)
-    if A.bias_flag:
-        witness = Params(blocks[:, :-1].copy(), blocks[:, -1].copy(), v)
-    else:
-        witness = Params(blocks.copy(), None, v)
-    return RegionMinReport(True, witness, int(q), margin)
+        return RegionMinReport(False, None, solution_dim, margin)
+    u = result.witness
+    theta = theta0 + N @ u[:q] * (scale / u[q]) if scale > 0.0 else N @ u
+    # Unit i of class c takes w_c / (k_c |v_i|): a positive multiple of w_c,
+    # so strictly inside the cone, and the class sums to sign(v) w_c.
+    counts = np.bincount(label)
+    blocks = theta.reshape(C, block)[label] / (counts[label] * np.abs(v))[:, None]
+    witness = Params(blocks[:, :-1], blocks[:, -1], v) if A.bias_flag else Params(blocks, None, v)
+    return RegionMinReport(True, witness, solution_dim, margin)

@@ -43,26 +43,11 @@ def test_midpoint_pattern_is_strictly_feasible(kernel_entry):
     assert np.array_equal(w * x + b > 0, a.astype(bool))
 
 
-def test_equality_pins_value(kernel_entry):
-    # A zero column leaves only the offset: t* = h when h is below the cap.
-    r = lp_max_margin(np.array([[0.0]]), h=np.array([0.5]), cap=1.0)
-    assert r.t == pytest.approx(0.5, abs=1e-9)
-    assert r.witness.shape == (1,)
-
-
-def test_negative_optimum_reported(kernel_entry):
-    # min h < 0 takes the start pivot on t-; the optimum may stay there ...
-    r = lp_max_margin(np.array([[0.0]]), h=np.array([-0.3]), cap=1.0)
-    assert r.t == pytest.approx(-0.3, abs=1e-9)
-    # ... or move on from it: max_u min(u - 0.3, 0.1 - u) = -0.1 at u = 0.2.
-    r = lp_max_margin(np.array([[1.0], [-1.0]]), h=np.array([-0.3, 0.1]), cap=1.0)
-    assert r.t == pytest.approx(-0.1, abs=1e-9)
-    assert r.witness[0] == pytest.approx(0.2, abs=1e-9)
-
-
-def test_no_free_columns_gives_offset_minimum(kernel_entry):
-    for h, expected in (([0.4, -0.2, 0.7], -0.2), ([0.4, 0.9], 0.4), ([2.0, 3.0], 1.0)):
-        r = lp_max_margin(np.zeros((len(h), 0)), h=np.array(h), cap=1.0)
+def test_no_free_columns_gives_zero(kernel_entry):
+    # Without columns every margin row reads 0 >= t; with no rows either,
+    # only the cap binds.
+    for m, expected in ((1, 0.0), (3, 0.0), (0, 1.0)):
+        r = lp_max_margin(np.zeros((m, 0)), cap=1.0)
         assert r.t == pytest.approx(expected, abs=1e-12)
         assert r.witness.shape == (0,)
 
@@ -78,11 +63,11 @@ def test_witness_satisfies_constraints(kernel_entry):
         assert r.t <= 1.0 + 1e-9
 
 
-def _sampled_margin(G, h, trials=100_000, seed=0):
-    """Brute-force oracle: best margin of G u + h among random points u."""
+def _sampled_margin(G, trials=100_000, seed=0):
+    """Brute-force oracle: best margin of G u among random points u."""
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((trials, G.shape[1]))
-    return float(np.max(np.min(U @ G.T + h, axis=1)))
+    return float(np.max(np.min(U @ G.T, axis=1)))
 
 
 def test_strict_feasibility_matches_sampling_oracle():
@@ -97,9 +82,8 @@ def test_strict_feasibility_matches_sampling_oracle():
         k = int(rng.integers(1, 5))
         m = int(rng.integers(1, 7))
         G = normalize_rows(rng.standard_normal((m, k)))
-        h = rng.standard_normal(m) if case % 2 else np.zeros(m)
-        r = lp_max_margin(G, h=h, cap=1.0)
-        sampled = _sampled_margin(G, h, seed=case)
+        r = lp_max_margin(G, cap=1.0)
+        sampled = _sampled_margin(G, seed=case)
         if sampled > 1e-7:
             # brute force found a strictly feasible point: the LP must agree
             assert r.t > 1e-7
@@ -109,32 +93,28 @@ def test_strict_feasibility_matches_sampling_oracle():
             if sampled > 0.0:
                 found_by_sampling += 1
             else:
-                assert np.min(G @ r.witness + h) >= r.t - 1e-8
-        elif not h.any() and r.t <= 1e-7:
+                assert np.min(G @ r.witness) >= r.t - 1e-8
+        elif r.t <= 1e-7:
             # cone with empty interior: no sample may achieve a positive margin
             assert sampled <= 1e-9
-            checked_neg += 1
-        elif r.t < -1e-3:
-            assert sampled <= r.t + 1e-6
             checked_neg += 1
     assert checked_pos >= 5 and checked_neg >= 5
     assert found_by_sampling >= 0.8 * checked_pos
 
 
-def test_offset_optimum_matches_highs():
+def test_optimum_matches_highs():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(41)
     for _ in range(60):
         m = int(rng.integers(1, 30))
         k = int(rng.integers(0, 7))
         G = rng.standard_normal((m, k))
-        h = rng.standard_normal(m)
-        r = lp_max_margin(G, h=h, cap=1.0)
-        assert np.all(G @ r.witness + h >= r.t - 1e-8)
+        r = lp_max_margin(G, cap=1.0)
+        assert np.all(G @ r.witness >= r.t - 1e-8)
         highs = scipy_optimize.linprog(
             c=np.r_[np.zeros(k), -1.0],
             A_ub=np.hstack([-G, np.ones((m, 1))]),
-            b_ub=h,
+            b_ub=np.zeros(m),
             bounds=[(None, None)] * k + [(None, 1.0)],
             method="highs",
         )
@@ -152,9 +132,9 @@ def test_input_validation():
     with pytest.raises(InputError):
         lp_max_margin(np.array([[1.0]]), cap=0.0)
     with pytest.raises(InputError):
-        lp_max_margin(np.array([[1.0], [2.0]]), h=np.array([1.0]))
+        lp_max_margin(np.array([[1.0], [np.inf]]))
     with pytest.raises(InputError):
-        lp_max_margin(np.array([[1.0]]), h=np.array([np.inf]))
+        lp_max_margin(np.array([1.0, 2.0]))
 
 
 def test_iteration_limit_retries_with_coarser_pricing(monkeypatch):

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from reluregions import (
+    DEFAULT_TOL,
     ActivationPattern,
     Dataset,
     Params,
     Sorted1D,
     activation_pattern,
     design_matrix,
+    embed_ones,
     fit_exact_1d,
     forward,
     loss,
     lp_max_margin,
+    normalize_rows,
     random_complete_step_matrix,
     rational_rank,
     region_global_min_report,
@@ -208,58 +211,203 @@ def test_pattern_object_round_trip():
     assert report.contains_zero_loss  # the sampler's own params witness the region
 
 
+def _uncollapsed_lp(A, X, y, v, tol=DEFAULT_TOL):
+    """Test oracle: the homogeneous margin LP with one column block per unit.
+
+    Returns (G, N) for the full d1-unit zero-loss set theta0 + N c, or None
+    when the targets are out of reach.  The region meets that set
+    exactly when lp_max_margin(G) is positive.
+    """
+    found = zero_loss_set(A, X, y, v, tol)
+    if found is None:
+        return None
+    theta0, N = found
+    Xh = embed_ones(X) if A.bias_flag else X
+    d1, n = A.A.shape
+    block = Xh.shape[0]
+    signs = 2.0 * A.A - 1.0
+    R = np.zeros((d1 * n, d1 * block))
+    for i in range(d1):
+        R[i * n : (i + 1) * n, i * block : (i + 1) * block] = signs[i][:, None] * Xh.T
+    scale = np.linalg.norm(theta0)
+    if scale == 0.0:
+        return normalize_rows(R @ N), N
+    cols = np.hstack([N, theta0[:, None] / scale])
+    G = np.vstack([normalize_rows(R @ cols), np.eye(1, cols.shape[1], cols.shape[1] - 1)])
+    return G, N
+
+
+def _assert_matches_oracle(A, X, y, v):
+    report = region_global_min_report(A, X, y, v)
+    lp_form = _uncollapsed_lp(A, X, y, v)
+    if lp_form is None:
+        assert not report.contains_zero_loss and report.solution_dim is None
+        return report
+    G, N = lp_form
+    assert report.contains_zero_loss == (lp_max_margin(G, cap=1.0).t > DEFAULT_TOL.lp_tol)
+    assert report.solution_dim == N.shape[1]
+    return report
+
+
+def _zero_loss_fit(params, A, X, y):
+    """The benchmark's witness check: pattern realized off every boundary, residual within tolerance."""
+    realized, degenerate = activation_pattern(params, X)
+    residual = np.linalg.norm(forward(params, X) - y)
+    limit = DEFAULT_TOL.residual_tol * (1.0 + np.linalg.norm(y))
+    return not degenerate and np.array_equal(realized.A, A.A) and residual <= limit
+
+
+def _c10_config(seed):
+    return experiments.ExperimentConfig(
+        n_values=(5,), d1_values=(93,), d0_rule="1", trials=2, seed=seed, labels="random", init="he"
+    )
+
+
+def _c10_region(seed, trial):
+    """(pattern, X, y, v) of one trial of the C10 cell (n=5, d1=93) at grid seed ``seed``."""
+    seen = []
+
+    def recording(A, X, y, v, tol):
+        seen.append((A, X, y, v))
+        return optimize.region_global_min_report(A, X, y, v, tol)
+
+    cfg = _c10_config(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "region_global_min_report", recording)
+        experiments._globalmin_trial(cfg, cfg.cells()[0], 0, trial)
+    return seen[-1]
+
+
+# Trial 1 at these grid seeds: two data points 2e-4 (300715) and 2e-5
+# (303914) apart give |theta0| of 1e3 to 1e4, and an LP with theta0 as a
+# constant offset cycled to its iteration limit at every pricing level; the
+# 467x831 offset LP of 21600215 did the same after about 20 s.
+HARD_C10_SEEDS = (300715, 303914, 21600215)
+
+
+@pytest.mark.parametrize("seed", HARD_C10_SEEDS)
+def test_hard_c10_trial_decided_quickly(seed):
+    cfg = _c10_config(seed)
+    start = time.perf_counter()
+    outcome = experiments._globalmin_trial(cfg, cfg.cells()[0], 0, 1)
+    assert outcome == (True, 0)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_collapsed_report_matches_uncollapsed_oracle_on_c10():
+    # 146100026 trial 1 has two points 7.8e-7 apart; both forms answer yes.
+    cases = [(seed, 1) for seed in (*HARD_C10_SEEDS, 146100026)]
+    cases += [(700000 + i, t) for i in range(20) for t in (0, 1)]
+    verdicts = set()
+    for seed, trial in cases:
+        verdicts.add(_assert_matches_oracle(*_c10_region(seed, trial)).contains_zero_loss)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d0,bias,unit_v", [(1, True, True), (2, True, False), (2, False, True), (1, True, False)])
+def test_collapsed_report_matches_uncollapsed_oracle_small(d0, bias, unit_v):
+    # Few points and many units make equal rows common, so classes of
+    # several units are merged; non-unit v checks the witness split
+    # theta_i = w_c / (k_c |v_i|).
+    rng = np.random.default_rng(14 + 10 * d0 + 2 * bias + unit_v)
+    yes = no = merged = 0
+    for case in range(60):
+        n = int(rng.integers(2, 6))
+        d1 = int(rng.integers(2, 12))
+        X = rng.standard_normal((d0, n))
+        magnitude = 1.0 if unit_v else rng.uniform(0.5, 2.0, d1)
+        v = rng.choice([-1.0, 1.0], d1) * magnitude
+        p = Params(rng.standard_normal((d1, d0)), rng.standard_normal(d1) if bias else None, v)
+        A, degenerate = activation_pattern(p, X)
+        if degenerate:
+            continue
+        y = forward(p, X) if case % 3 == 0 else rng.uniform(-1.0, 1.0, n)
+        report = _assert_matches_oracle(A, X, y, v)
+        merged += len({(row.tobytes(), s) for row, s in zip(A.A, v > 0)}) < d1
+        if report.contains_zero_loss:
+            yes += 1
+            assert report.margin == pytest.approx(1.0, abs=1e-9)
+            assert _zero_loss_fit(report.witness, A, X, y)
+        else:
+            no += 1
+    assert yes >= 10 and no >= 5 and merged >= 20
+
+
+def test_zero_targets_drop_the_tau_column():
+    # y = 0 gives theta0 = 0: the zero-loss set is the linear space N, and
+    # here it misses the open region.
+    A = ActivationPattern([[0, 1, 1], [1, 1, 0], [1, 1, 1]])
+    X = np.array([[0.1, 0.5, 0.9]])
+    v = np.array([1.0, -1.0, 1.0])
+    report = region_global_min_report(A, X, np.zeros(3), v)
+    assert (report.contains_zero_loss, report.solution_dim, report.margin) == (False, 3, 0.0)
+    _assert_matches_oracle(A, X, np.zeros(3), v)
+    # All units off everywhere: theta = 0 + N c with negative biases fits y = 0.
+    A = ActivationPattern(np.zeros((3, 3)))
+    report = region_global_min_report(A, X, np.zeros(3), v)
+    assert report.contains_zero_loss and report.solution_dim == 6
+    assert _zero_loss_fit(report.witness, A, X, np.zeros(3))
+
+
+def test_no_free_direction():
+    # One unit on two points with a bias: D is square and invertible, so
+    # q = 0 and only theta0 itself can be the witness.
+    A = ActivationPattern([[1, 1]])
+    X = np.array([[0.2, 1.1]])
+    v = np.array([1.0])
+    report = region_global_min_report(A, X, np.array([1.0, 2.0]), v)
+    assert report.contains_zero_loss and report.solution_dim == 0
+    assert _zero_loss_fit(report.witness, A, X, np.array([1.0, 2.0]))
+    # theta0 is outside the cone (negative preactivation at x = 1.1) ...
+    report = region_global_min_report(A, X, np.array([1.0, -1.0]), v)
+    assert (report.contains_zero_loss, report.solution_dim, report.margin) == (False, 0, 0.0)
+    # ... or on its boundary (theta0 = 0, no column at all).
+    report = region_global_min_report(A, X, np.zeros(2), v)
+    assert (report.contains_zero_loss, report.solution_dim, report.margin) == (False, 0, 0.0)
+
+
 def test_drifting_margin_lp_retries_instead_of_spinning(monkeypatch):
-    # Grid seed 3400002, C10 cell (n=5, d1=93), trial 1.  Solved with an
-    # equality row pinning an extra variable to 1 (a 468x833 tableau), this
-    # margin LP drifted (tableau entries near 1e11) until the iteration limit,
-    # and only coarser pricing reached the cap t* = 1, about 10 s on 2 cores.
-    # In the offset form (467x831) it no longer drifts: one kernel call at the
-    # default pricing, about 0.5 s.
-    solves = []
+    # Grid seed 3400002, C10 cell (n=5, d1=93), trial 1.  Solved over all 93
+    # units with an equality row pinning an extra variable to 1 (a 468x833
+    # tableau), this margin LP drifted (tableau entries near 1e11) until the
+    # iteration limit, and only coarser pricing reached the cap t* = 1.  The
+    # full-width homogeneous form (a 468x834 tableau) keeps the pivot kernel
+    # covered on a large LP: one kernel call at the default pricing.
     kernel_calls = []
     loop = lp._KERNELS["python"]
-
-    def recording(G, h, cap):
-        result = lp_max_margin(G, h=h, cap=cap)
-        solves.append((G, h, cap, result))
-        return result
 
     def counted(*args):
         kernel_calls.append(args[2])
         return loop(*args)
 
-    monkeypatch.setattr(optimize, "lp_max_margin", recording)
+    A, X, y, v = _c10_region(3400002, 1)
+    G, _ = _uncollapsed_lp(A, X, y, v)
+    assert G.shape == (466, 182)
     monkeypatch.setitem(lp._KERNELS, "python", counted)
-    cfg = experiments.ExperimentConfig(
-        n_values=(5,), d1_values=(93,), d0_rule="1", trials=2, seed=3400002, labels="random", init="he"
-    )
     start = time.perf_counter()
-    contains_zero_loss, resamples = experiments._globalmin_trial(cfg, cfg.cells()[0], 0, 1)
-    elapsed = time.perf_counter() - start
-    assert contains_zero_loss and resamples == 0
-    assert elapsed < 10.0
+    result = lp_max_margin(G, cap=1.0)
+    assert time.perf_counter() - start < 10.0
     assert kernel_calls == [lp._PRICE_EPS]
-    [(G, h, cap, result)] = solves
     assert result.t == pytest.approx(1.0, abs=1e-6)
-    assert np.all(G @ result.witness + h >= result.t - 1e-6)
+    assert np.all(G @ result.witness >= result.t - 1e-6)
 
     scipy_optimize = pytest.importorskip("scipy.optimize")
     m, k = G.shape
     highs = scipy_optimize.linprog(
         c=np.r_[np.zeros(k), -1.0],
         A_ub=np.hstack([-G, np.ones((m, 1))]),
-        b_ub=h,
-        bounds=[(None, None)] * k + [(None, cap)],
+        b_ub=np.zeros(m),
+        bounds=[(None, None)] * k + [(None, 1.0)],
         method="highs",
     )
     assert highs.status == 0
     assert result.t == pytest.approx(-highs.fun, abs=1e-6)
 
 
-def test_report_passes_offset_as_keyword(monkeypatch):
+def test_report_passes_g_as_only_positional_argument(monkeypatch):
     # perfbench's tracer reads a positional second argument (or E=) as
-    # equality rows, and so as a solve with a phase 1; the offset must
-    # travel as h= with G the only positional argument.
+    # equality rows, and so as a solve with a phase 1: G must be the only
+    # positional argument.
     calls = []
 
     def recording(*args, **kwargs):
@@ -274,5 +422,4 @@ def test_report_passes_offset_as_keyword(monkeypatch):
     report = region_global_min_report(A, _sorted_x(rng, n)[None, :], rng.uniform(-1.0, 1.0, n), v)
     assert report.contains_zero_loss
     [(args, kwargs)] = calls
-    assert len(args) == 1 and sorted(kwargs) == ["cap", "h"]
-    assert kwargs["h"].shape == (args[0].shape[0],)
+    assert len(args) == 1 and sorted(kwargs) == ["cap"]
