@@ -6,9 +6,11 @@ pattern is realizable exactly when the open cone
 decided by a margin LP.  Units have independent parameters, so a pattern
 matrix is realizable iff each of its rows is.  Per-unit patterns are
 enumerated by extending realizable prefixes (every prefix of one is
-realizable) with O(n * #patterns) LPs; for data in general position their
-number follows the hyperplane-arrangement count.  They are also the vertex
-labels of the zonotope sum_j [0, x_j]; both routes are tested together.
+realizable) with one LP per realizable prefix: the parent's witness decides
+the other child (incremental cell enumeration, Rada and Cerny, SIAM J.
+Discrete Math. 32, 2018).  For data in general position their number follows
+the hyperplane-arrangement count.  They are also the vertex labels of the
+zonotope sum_j [0, x_j]; both routes are tested together.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ MAX_ENUMERATED_PATTERNS = 2**16
 GENERAL_POSITION_MAX_N = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitPattern:
     """Activation indicator of a single unit over the dataset."""
 
@@ -128,11 +130,16 @@ def enumerate_feasible_unit_patterns(
     """All realizable per-unit patterns, in lexicographic order.
 
     Breadth-first prefix search: each realizable pattern on the first j
-    points is extended by bit 0, then bit 1, and kept if feasible on j + 1
-    points; O(n * #patterns) LPs.  Refused when Cover's bound on the count,
-    valid for any data, exceeds ``MAX_ENUMERATED_PATTERNS``.  With a bias on
-    one-dimensional data a sorted fast path returns the one-switch threshold
-    patterns without any LP; ``use_fast_path=False`` forces the LP route.
+    points is extended by bit 0, then bit 1, and kept if realizable on
+    j + 1 points.  The prefix's witness u already settles one child: with
+    s = <x_j, u> on the normalized column, s > ``lp_tol`` keeps the 1-child
+    and s < -``lp_tol`` the 0-child with u as its witness, so only the other
+    child needs an LP: one LP per realizable prefix.  Both children need one
+    at the first point and when |s| <= ``lp_tol``.  Refused when Cover's
+    bound on the count, valid for any data, exceeds
+    ``MAX_ENUMERATED_PATTERNS``.  With a bias on one-dimensional data a
+    sorted fast path returns the one-switch threshold patterns without any
+    LP; ``use_fast_path=False`` forces the LP route.
     """
     X = as_matrix(X, name="X")
     n = X.shape[1]
@@ -152,12 +159,35 @@ def enumerate_feasible_unit_patterns(
                 patterns.add(tuple(1 - prefix))
             return [UnitPattern(a, True) for a in sorted(patterns)]
 
-    prefixes = [()]
-    for j in range(n):
-        Xj = X[:, : j + 1]
-        prefixes = [p + (bit,) for p in prefixes for bit in (0, 1)
-                    if unit_pattern_feasible(UnitPattern(p + (bit,), bias), Xj, tol).feasible]
-    return [UnitPattern(a, bias) for a in prefixes]
+    return [UnitPattern(a, bias) for a, _ in _prefix_search(X, bias, tol)]
+
+
+def _prefix_search(X: np.ndarray, bias: bool, tol: Tol) -> list[tuple[tuple, np.ndarray]]:
+    """(pattern, witness) pairs of the LP route, in lexicographic order.
+
+    A witness u lives in the bias-lifted space and has margin above
+    ``lp_tol`` on every row of ``signs * normalize_rows(Xh.T)``.  The empty
+    prefix gets u = 0, so s = 0 sends both children of the first point to
+    the LP.
+    """
+    Xh = embed_ones(X) if bias else X
+    rows = normalize_rows(Xh.T)
+    level = [((), np.zeros(Xh.shape[0]))]
+    for j in range(X.shape[1]):
+        extended = []
+        for p, u in level:
+            s = float(rows[j] @ u)
+            for bit in (0, 1):
+                a = p + (bit,)
+                if (s if bit else -s) > tol.lp_tol:
+                    extended.append((a, u))
+                    continue
+                signs = 2.0 * np.asarray(a, dtype=float) - 1.0
+                result = lp_max_margin(signs[:, None] * rows[: j + 1], cap=1.0)
+                if result.t > tol.lp_tol:
+                    extended.append((a, result.witness))
+        level = extended
+    return level
 
 
 def zonotope_vertex_check(S, X, tol: Tol = DEFAULT_TOL) -> bool:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from reluregions.cli import main
@@ -154,3 +156,18 @@ def test_internal_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", patched_parser)
     assert cli.main(["polyline", "--x", "0,1"]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_enumerate_regions_output_pinned(capsys):
+    # Pinned stdout of the LP route on one planar dataset: 24 patterns in
+    # lexicographic order and the counting-law summary.
+    code = main(["enumerate-regions", "--d0", "2", "--n", "12", "--seed", "102"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 25
+    assert out.splitlines()[-1] == (
+        "feasible unit patterns: 24 (general position; counting law gives 24)"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2eb9d2b1b60df74048f7c492ebc435119f9f14752ac810409a6f0014af0f1520"
+    )

@@ -1,7 +1,11 @@
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from reluregions import (
+    DEFAULT_TOL,
     ActivationPattern,
     UnitPattern,
     activation_pattern,
@@ -13,9 +17,11 @@ from reluregions import (
     unit_pattern_feasible,
     zonotope_vertex_check,
 )
+from reluregions import regions
 from reluregions.errors import InputError
+from reluregions.linalg import normalize_rows
 from reluregions.model import Params
-from reluregions.regions import MAX_ENUMERATED_PATTERNS
+from reluregions.regions import MAX_ENUMERATED_PATTERNS, _prefix_search
 
 
 def _scan_all_candidates(X, bias):
@@ -126,6 +132,79 @@ def test_enumerate_full_cube_when_dimension_dominates():
     assert len(patterns) == 8
 
 
+def adversarial_variants(rng, X):
+    """Copies of X whose column j is zero, a duplicate, a positive rescaling or a near-duplicate of column i."""
+    d, n = X.shape
+    i, j = (int(k) for k in rng.choice(n, 2, replace=False))
+    variants = {}
+    for kind, col in [
+        ("zero", np.zeros(d)),
+        ("duplicate", X[:, i]),
+        ("rescaled", rng.uniform(0.1, 10.0) * X[:, i]),
+        ("near-duplicate", X[:, i] + 1e-9 * rng.standard_normal(d)),
+    ]:
+        Y = X.copy()
+        Y[:, j] = col
+        variants[kind] = Y
+    return i, j, variants
+
+
+def assert_matches_scan(Y, bias, kind=None, i=0, j=0):
+    reference = _scan_all_candidates(Y, bias)
+    for use_fast_path in (True, False):
+        patterns = enumerate_feasible_unit_patterns(Y, bias=bias, use_fast_path=use_fast_path)
+        expected = reference
+        if kind == "near-duplicate":
+            # A pattern that splits two points 1e-9 apart needs a witness of
+            # norm about 1e9, and the margin LP decides such patterns
+            # differently with all rows at once and prefix by prefix; the
+            # patterns that keep the pair together are compared exactly.
+            patterns = [u for u in patterns if u.a[i] == u.a[j]]
+            expected = [u for u in reference if u.a[i] == u.a[j]]
+        # Same list in the same order, not just the same set.
+        assert patterns == expected, (kind, bias, use_fast_path)
+
+
+def assert_witnesses_sound(Y, bias):
+    """Every (pattern, witness) pair has normalized margin above lp_tol on every row."""
+    rows = normalize_rows((embed_ones(Y) if bias else Y).T)
+    pairs = _prefix_search(Y, bias, DEFAULT_TOL)
+    for a, u in pairs:
+        signs = 2.0 * np.asarray(a, dtype=float) - 1.0
+        assert np.min(signs[:, None] * rows @ u) > DEFAULT_TOL.lp_tol, a
+    return pairs
+
+
+def record_lps(monkeypatch):
+    """Record each LP the enumeration solves as (row count, result)."""
+    calls = []
+    solve = regions.lp_max_margin
+
+    def recording(G, cap=1.0):
+        result = solve(G, cap=cap)
+        calls.append((G.shape[0], result))
+        return result
+
+    monkeypatch.setattr(regions, "lp_max_margin", recording)
+    return calls
+
+
+def lp_bound(Y, bias):
+    """2 + the realizable prefixes summed over the levels 1..n-1.
+
+    A prefix costs a second LP only when its witness lies on the new
+    column's hyperplane.  That happens at a zero column: without a bias
+    every witness is on it, and with a bias it is the bias axis, where a
+    simplex vertex often has a zero bias coordinate.  There each prefix is
+    allowed both LPs.
+    """
+    return 2 + sum(
+        len(enumerate_feasible_unit_patterns(Y[:, :j], bias=bias, use_fast_path=False))
+        * (1 if np.any(Y[:, j]) else 2)
+        for j in range(1, Y.shape[1])
+    )
+
+
 @pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_enumerate_matches_exhaustive_scan(d, bias):
@@ -134,14 +213,90 @@ def test_enumerate_matches_exhaustive_scan(d, bias):
         X = rng.standard_normal((d, n))
         zero_col = X.copy()
         zero_col[:, n // 2] = 0.0
-        cases = [X, zero_col]
+        assert_matches_scan(X, bias)
+        assert_matches_scan(zero_col, bias)
         if n > 1:
-            dup_col = X.copy()
-            dup_col[:, -1] = dup_col[:, 0]
-            cases.append(dup_col)
-        for Y in cases:
-            # Same list in the same order, not just the same set.
-            assert enumerate_feasible_unit_patterns(Y, bias=bias) == _scan_all_candidates(Y, bias)
+            i, j, variants = adversarial_variants(rng, X)
+            for kind, Y in variants.items():
+                assert_matches_scan(Y, bias, kind, i, j)
+
+
+def test_enumeration_solves_one_lp_per_realizable_prefix(monkeypatch):
+    rng = np.random.default_rng(73)
+    X = rng.standard_normal((2, 12))
+    assert certify_general_position(X)
+    calls = record_lps(monkeypatch)
+    patterns = enumerate_feasible_unit_patterns(X, bias=False)
+    assert len(patterns) == count_regions_general_position(12, 2, 1)
+    # Both children of the first point, then one LP per realizable prefix.
+    expected = 2 + sum(count_regions_general_position(j, 2, 1) for j in range(1, 12))
+    assert len(calls) == expected == 134
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lp_count_bounded_by_realizable_prefixes(d, bias, monkeypatch):
+    rng = np.random.default_rng(79 + 2 * d + bias)
+    X = rng.standard_normal((d, 8))
+    _, _, variants = adversarial_variants(rng, X)
+    for Y in [X, *variants.values()]:
+        bound = lp_bound(Y, bias)
+        calls = record_lps(monkeypatch)
+        enumerate_feasible_unit_patterns(Y, bias=bias, use_fast_path=False)
+        assert len(calls) <= bound
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_inherited_witnesses_realize_their_patterns(d, bias, monkeypatch):
+    rng = np.random.default_rng(83 + 2 * d + bias)
+    X = rng.standard_normal((d, 7))
+    _, _, variants = adversarial_variants(rng, X)
+    inherited = 0
+    for Y in [X, *variants.values()]:
+        calls = record_lps(monkeypatch)
+        pairs = assert_witnesses_sound(Y, bias)
+        monkeypatch.undo()
+        # A pattern kept without an LP at the last point carries a witness
+        # the LP returned for a shorter prefix.
+        last = {id(result.witness) for rows, result in calls if rows == Y.shape[1]}
+        inherited += sum(id(u) not in last for _, u in pairs)
+    assert inherited > 0
+
+
+def test_lp_rows_match_per_pattern_normalization():
+    # The LPs the enumeration still solves see the G that normalizing each
+    # sign-flipped pattern gives, byte for byte.
+    rng = np.random.default_rng(89)
+    for d in (1, 2, 3):
+        X = rng.standard_normal((d, 9))
+        _, _, variants = adversarial_variants(rng, X)
+        for Y in [X, *variants.values()]:
+            for Yh in (Y, embed_ones(Y)):
+                rows = normalize_rows(Yh.T)
+                for j in range(Yh.shape[1]):
+                    signs = rng.choice([-1.0, 1.0], j + 1)
+                    shared = signs[:, None] * rows[: j + 1]
+                    own = normalize_rows(signs[:, None] * Yh[:, : j + 1].T)
+                    assert shared.tobytes() == own.tobytes()
+
+
+def test_unit_pattern_value_semantics():
+    u = UnitPattern((1, 0, 1))
+    same = UnitPattern(np.array([1, 0, 1]))
+    assert u == same and hash(u) == hash(same) and len({u, same}) == 1
+    assert same.a == (1, 0, 1) and all(type(x) is int for x in same.a)
+    assert u != UnitPattern((1, 0, 1), bias_flag=True)
+    assert u.n == 3
+    ordered = sorted([UnitPattern((1, 1)), UnitPattern((0, 1)), UnitPattern((1, 0))], key=lambda p: p.a)
+    assert [p.a for p in ordered] == [(0, 1), (1, 0), (1, 1)]
+    with pytest.raises(InputError):
+        UnitPattern((0, 2))
+    with pytest.raises(FrozenInstanceError):
+        u.a = (0, 0, 0)
+    assert not hasattr(u, "__dict__")
+    assert pickle.loads(pickle.dumps(u)) == u
 
 
 def test_enumerate_beyond_exhaustive_reach():
