@@ -18,20 +18,28 @@ coarser pricing.  Stopping early at a coarser threshold can only understate
 the optimal margin, never overstate it, so certificates stay conservative.
 
 The pivot loop is the hot kernel of the whole package: region enumeration
-solves one LP per candidate pattern and the Monte Carlo grids solve one
+solves one LP per realizable prefix and the Monte Carlo grids solve one
 small LP per trial.  Its rules:
 
-* pricing: Dantzig (most negative reduced cost, first index on ties), with a
-  permanent switch to Bland's rule after too many consecutive degenerate
+* pricing: Dantzig (most negative reduced cost, smallest variable index on
+  ties), with a permanent switch to Bland's rule (smallest variable index
+  with a negative reduced cost) after too many consecutive degenerate
   pivots (anti-cycling guarantee);
 * ratio test: minimum ratio over rows whose column entry exceeds ``piv_tol``
   (tiny pivots would amplify roundoff catastrophically); ties are broken by
   the largest pivot element for stability, or by smallest basic variable
   index once Bland's rule is active (termination guarantee).
 
-The tableau ``T`` has shape (m+1, n+1): row m is the reduced-cost row of a
-minimization problem, column n is the right-hand side, and ``T[m, n]`` holds
-minus the current objective value.  ``basis[i]`` is the column basic in row i.
+The tableau is condensed (the dictionary form of the simplex): it keeps a
+column only for each nonbasic variable, not the identity block of the basic
+ones, which every pivot would rewrite and pricing never picks.  ``T`` has
+shape (r+1, c+1): rows 0..r-1 are the constraint rows, row r the
+reduced-cost row of a minimization problem, column c the right-hand side,
+and ``T[r, c]`` holds minus the current objective value.  ``basis[i]`` is
+the variable basic in row i and ``nonbasic[j]`` the variable of column j.
+On a pivot the leaving variable takes the entering variable's column, so
+ties are broken by variable index, not by column position, and the pivots
+and floats (up to the sign of a zero) match those of the full tableau.
 """
 
 from __future__ import annotations
@@ -53,48 +61,52 @@ UNBOUNDED = 1
 ITERATION_LIMIT = 2
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-
-
 def simplex_loop(
-    T: np.ndarray, basis: np.ndarray, eps: float, piv_tol: float, max_iter: int, stall_limit: int
+    T: np.ndarray,
+    basis: np.ndarray,
+    eps: float,
+    piv_tol: float,
+    max_iter: int,
+    stall_limit: int,
+    nonbasic: np.ndarray,
 ) -> int:
-    """Pivot ``T`` to optimality in place; returns OPTIMAL, UNBOUNDED or ITERATION_LIMIT."""
+    """Pivot the condensed tableau ``T`` in place; returns OPTIMAL, UNBOUNDED or ITERATION_LIMIT."""
     m = T.shape[0] - 1
     n = T.shape[1] - 1
-    obj = T[m]
+    obj = T[m, :n]
+    rhs = T[:m, n]
+    ratios = np.empty(m)
     bland = False
     stall = 0
     for _ in range(max_iter):
         if bland:
-            neg = np.nonzero(obj[:n] < -eps)[0]
+            neg = (obj < -eps).nonzero()[0]
             if neg.size == 0:
                 return OPTIMAL
-            col = int(neg[0])
+            col = neg[nonbasic[neg].argmin()]
         else:
-            col = int(np.argmin(obj[:n]))
+            col = obj.argmin()
             if obj[col] >= -eps:
                 return OPTIMAL
+            ties = (obj == obj[col]).nonzero()[0]
+            if ties.size > 1:
+                col = ties[nonbasic[ties].argmin()]
 
         column = T[:m, col]
         eligible = column > piv_tol
-        if not np.any(eligible):
+        if not eligible[eligible.argmax()]:  # argmax: the first eligible row, if any
             return UNBOUNDED
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = T[:m, n][eligible] / column[eligible]
-        rmin = float(ratios.min())
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=eligible)
+        rmin = ratios[ratios.argmin()]
         tie = 1e-9 * (1.0 + abs(rmin))
-        candidates = np.nonzero(ratios <= rmin + tie)[0]
-        if bland:
-            row = int(candidates[np.argmin(basis[candidates])])
+        candidates = (ratios <= rmin + tie).nonzero()[0]
+        if candidates.size == 1:
+            row = candidates[0]
+        elif bland:
+            row = candidates[basis[candidates].argmin()]
         else:
-            row = int(candidates[np.argmax(column[candidates])])
+            row = candidates[column[candidates].argmax()]
 
         if T[row, n] <= eps:
             stall += 1
@@ -103,8 +115,20 @@ def simplex_loop(
         else:
             stall = 0
 
-        _pivot(T, row, col)
-        basis[row] = col
+        # Pivot.  The leaving variable takes the entering column's slot, set
+        # to its unit column first, so the update writes there what the full
+        # tableau writes into the leaving column: 1/p in the pivot row and
+        # 0.0 - factors * (1/p) elsewhere.  einsum forms the same products
+        # as factors[:, None] * prow, with less overhead per row.
+        factors = T[:, col].copy()
+        pivot = factors[row]
+        factors[row] = 0.0
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        prow = T[row]
+        prow /= pivot
+        T -= np.einsum("i,j->ij", factors, prow)
+        basis[row], nonbasic[col] = nonbasic[col], basis[row]
     return ITERATION_LIMIT
 
 
@@ -131,55 +155,46 @@ class _NumericalTrouble(Exception):
     pass
 
 
-def _solve_once(G, cap, eps):
+def _tableau(G, cap):
+    """Condensed start tableau of the margin LP, with its basis and nonbasic maps."""
     m, k = G.shape
 
-    # Standard-form layout: u+ (k), u- (k), t+, t-, margin slacks (m), cap
-    # slack.  All free variables are split.
+    # Variables: u+ (k), u- (k), t+, t- (the free variables split), then the
+    # margin slacks (m) and the cap slack, which make up the start basis.
+    # Columns are the 2k + 2 nonbasic variables and the right-hand side.
     tp = 2 * k
-    tm = 2 * k + 1
-    s0 = 2 * k + 2
-    sigma = s0 + m
-    ncols = sigma + 1
-    nrows = m + 1
+    T = np.zeros((m + 2, tp + 3))
 
-    T = np.zeros((nrows + 1, ncols + 1))
-    basis = np.empty(nrows, dtype=np.int64)
-
-    # Margin rows, written as  -G_i u + t + s_i = 0  so each slack starts basic.
+    # Margin rows  -G_i u + t + s_i = 0,  the cap row  t + sigma = cap, and
+    # the objective row: minimize -t+ + t-.  The start basis is all slack,
+    # with zero cost, so the objective needs no pricing out.
     T[:m, 0:k] = -G
-    T[:m, k : 2 * k] = G
-    T[:m, tp] = 1.0
-    T[:m, tm] = -1.0
-    T[np.arange(m), s0 + np.arange(m)] = 1.0
-    basis[:m] = s0 + np.arange(m)
+    T[:m, k:tp] = G
+    T[: m + 1, tp] = 1.0
+    T[: m + 1, tp + 1] = -1.0
+    T[m, tp + 2] = cap
+    T[m + 1, tp] = -1.0
+    T[m + 1, tp + 1] = 1.0
+    return T, np.arange(tp + 2, tp + 3 + m), np.arange(tp + 2)
 
-    # Cap row: t + sigma = cap.
-    T[m, tp] = 1.0
-    T[m, tm] = -1.0
-    T[m, sigma] = 1.0
-    T[m, ncols] = cap
-    basis[m] = sigma
+
+def _solve_once(G, cap, eps):
+    k = G.shape[1]
+    T, basis, nonbasic = _tableau(G, cap)
 
     # Dantzig pricing finishes in a few hundred pivots on these LPs; one that
     # runs to several stall windows has drifted, and coarser pricing recovers.
-    stall_limit = 1000 + 2 * nrows
+    stall_limit = 1000 + 2 * basis.size
     max_iter = 4 * stall_limit
-
-    # Maximize t, i.e. minimize -t+ + t-, priced out on the basis.
-    T[nrows, tp] = -1.0
-    T[nrows, tm] = 1.0
-    for i in np.flatnonzero(T[nrows, basis]):
-        T[nrows] -= T[nrows, basis[i]] * T[i]
-    status = _KERNELS["python"](T, basis, eps, _PIVOT_TOL, max_iter, stall_limit)
+    status = _KERNELS["python"](T, basis, eps, _PIVOT_TOL, max_iter, stall_limit, nonbasic)
     if status == UNBOUNDED:
         raise _NumericalTrouble("numerically null improving column")
     if status == ITERATION_LIMIT:
         raise _NumericalTrouble("simplex iteration limit exceeded")
 
-    x = np.zeros(ncols)
-    x[basis] = T[np.arange(nrows), ncols]
-    return MarginResult(float(x[tp] - x[tm]), x[0:k] - x[k : 2 * k])
+    x = np.zeros(basis.size + nonbasic.size)
+    x[basis] = T[:-1, -1]
+    return MarginResult(float(x[2 * k] - x[2 * k + 1]), x[0:k] - x[k : 2 * k])
 
 
 def lp_max_margin(G, cap: float = 1.0) -> MarginResult:

@@ -103,6 +103,19 @@ def zero_loss_set(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_TOL):
     return _zero_loss_set(design_matrix(A, X, v), y, tol)
 
 
+def _unit_classes(A: np.ndarray, v: np.ndarray):
+    """Class label of each unit by (pattern row, sign of v), and the first unit of each class.
+
+    Classes are numbered in order of first appearance, so the merged
+    pattern keeps the order of the units it came from.
+    """
+    keys = np.column_stack((np.packbits(A, axis=1), v > 0.0))
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order]
+
+
 def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_TOL) -> RegionMinReport:
     """Certify whether the region contains a zero-loss global minimum.
 
@@ -126,9 +139,7 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
         raise InputError(f"v has length {v.shape[0]} but pattern has {A.d1} rows")
     if np.any(v == 0.0):
         raise InputError("all entries of v must be nonzero")
-    classes: dict = {}
-    label = np.array([classes.setdefault((row.tobytes(), s), len(classes)) for row, s in zip(A.A, v > 0.0)])
-    first = np.unique(label, return_index=True)[1]
+    label, first = _unit_classes(A.A, v)
     merged = ActivationPattern(A.A[first], A.bias_flag)
     D = design_matrix(merged, X, np.sign(v[first]))
     found = _zero_loss_set(D, y, tol)

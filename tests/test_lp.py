@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reluregions import lp, lp_max_margin, normalize_rows
+from reluregions import lp, lp_max_margin, normalize_rows, optimize, region_global_min_report
 from reluregions.errors import InputError, InvariantViolation
 
 
@@ -152,3 +152,211 @@ def test_iteration_limit_retries_with_coarser_pricing(monkeypatch):
     monkeypatch.setitem(lp._KERNELS, "python", lambda *args: lp.ITERATION_LIMIT)
     with pytest.raises(InvariantViolation):
         lp_max_margin(np.array([[1.0]]), cap=1.0)
+
+
+def test_kernel_receives_condensed_tableau_and_pricing_eps(monkeypatch):
+    # The tracer reads the tableau shape from argument 0, and the retry tests
+    # read the pricing threshold from argument 2.
+    seen = []
+    loop = lp._KERNELS["python"]
+
+    def recording(*args):
+        seen.append((args[0].shape, args[2]))
+        return loop(*args)
+
+    monkeypatch.setitem(lp._KERNELS, "python", recording)
+    for m, k in ((5, 3), (1, 0), (0, 0), (12, 7)):
+        lp_max_margin(np.random.default_rng(m + k).standard_normal((m, k)), cap=1.0)
+        assert seen.pop() == ((m + 2, 2 * k + 3), lp._PRICE_EPS)
+
+
+# Test-only oracle: the kernel on the full tableau, which keeps a column for
+# every slack (an identity block that pricing never picks).  The condensed
+# kernel must make the same pivots and produce the same floats.
+
+
+def _full_pivot(T, row, col):
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+
+
+def _full_simplex_loop(T, basis, eps, piv_tol, max_iter, stall_limit):
+    """(status, pivots, column ties, row ties) of the full-tableau pivot loop."""
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    obj = T[m]
+    bland = False
+    stall = pivots = col_ties = row_ties = 0
+    for _ in range(max_iter):
+        if bland:
+            neg = np.nonzero(obj[:n] < -eps)[0]
+            if neg.size == 0:
+                return lp.OPTIMAL, pivots, col_ties, row_ties
+            col = int(neg[0])
+            col_ties += neg.size > 1
+        else:
+            col = int(np.argmin(obj[:n]))
+            if obj[col] >= -eps:
+                return lp.OPTIMAL, pivots, col_ties, row_ties
+            col_ties += np.count_nonzero(obj[:n] == obj[col]) > 1
+
+        column = T[:m, col]
+        eligible = column > piv_tol
+        if not np.any(eligible):
+            return lp.UNBOUNDED, pivots, col_ties, row_ties
+        ratios = np.full(m, np.inf)
+        ratios[eligible] = T[:m, n][eligible] / column[eligible]
+        rmin = float(ratios.min())
+        tie = 1e-9 * (1.0 + abs(rmin))
+        candidates = np.nonzero(ratios <= rmin + tie)[0]
+        row_ties += candidates.size > 1
+        if bland:
+            row = int(candidates[np.argmin(basis[candidates])])
+        else:
+            row = int(candidates[np.argmax(column[candidates])])
+
+        if T[row, n] <= eps:
+            stall += 1
+            if stall > stall_limit:
+                bland = True
+        else:
+            stall = 0
+
+        _full_pivot(T, row, col)
+        basis[row] = col
+        pivots += 1
+    return lp.ITERATION_LIMIT, pivots, col_ties, row_ties
+
+
+def _full_tableau(G, cap):
+    """Full start tableau: u+ (k), u- (k), t+, t-, margin slacks (m), cap slack, rhs."""
+    m, k = G.shape
+    tp, tm, s0 = 2 * k, 2 * k + 1, 2 * k + 2
+    sigma = s0 + m
+    T = np.zeros((m + 2, sigma + 2))
+    T[:m, 0:k] = -G
+    T[:m, k : 2 * k] = G
+    T[:m, tp] = 1.0
+    T[:m, tm] = -1.0
+    T[np.arange(m), s0 + np.arange(m)] = 1.0
+    T[m, tp] = 1.0
+    T[m, tm] = -1.0
+    T[m, sigma] = 1.0
+    T[m, sigma + 1] = cap
+    T[m + 1, tp] = -1.0
+    T[m + 1, tm] = 1.0
+    basis = np.arange(s0, sigma + 1)
+    # The start basis is all slack with zero cost: nothing to price out.
+    assert not T[m + 1, basis].any()
+    return T, basis
+
+
+def _assert_kernels_agree(G, cap=1.0, eps=lp._PRICE_EPS, piv_tol=lp._PIVOT_TOL, max_iter=None, stall_limit=None):
+    """Run both kernels on the margin LP of G; returns the oracle's (status, pivots, column ties, row ties)."""
+    m, k = G.shape
+    as_solved = (piv_tol, max_iter, stall_limit) == (lp._PIVOT_TOL, None, None)
+    stall_limit = 1000 + 2 * (m + 1) if stall_limit is None else stall_limit
+    max_iter = 4 * stall_limit if max_iter is None else max_iter
+    F, full_basis = _full_tableau(G, cap)
+    outcome = _full_simplex_loop(F, full_basis, eps, piv_tol, max_iter, stall_limit)
+    status, pivots = outcome[:2]
+
+    T, basis, nonbasic = lp._tableau(G, cap)
+    assert T.shape == (m + 2, 2 * k + 3)
+    assert lp.simplex_loop(T, basis, eps, piv_tol, max_iter, stall_limit, nonbasic) == status
+    # Same basis, and every condensed column holds the same floats as the
+    # full column of its variable (== equates the two zeros).
+    assert np.array_equal(basis, full_basis)
+    assert np.array_equal(np.sort(np.r_[basis, nonbasic]), np.arange(F.shape[1] - 1))
+    assert np.array_equal(T, F[:, np.r_[nonbasic, -1]])
+    assert T[:, -1].tobytes() == F[:, -1].tobytes()
+    # Same pivot count: one pivot fewer than it took, it has not finished.
+    if status != lp.ITERATION_LIMIT:
+        T, basis, nonbasic = lp._tableau(G, cap)
+        assert lp.simplex_loop(T, basis, eps, piv_tol, pivots, stall_limit, nonbasic) == lp.ITERATION_LIMIT
+
+    # With the solver's own limits, the solve reads the same (t, witness) bytes.
+    if as_solved and status == lp.OPTIMAL:
+        x = np.zeros(F.shape[1] - 1)
+        x[full_basis] = F[:-1, -1]
+        r = lp._solve_once(G, cap, eps)
+        assert np.float64(r.t).tobytes() == np.float64(x[2 * k] - x[2 * k + 1]).tobytes()
+        assert r.witness.tobytes() == (x[0:k] - x[k : 2 * k]).tobytes()
+    return outcome
+
+
+def test_condensed_kernel_matches_full_tableau_on_tied_lps():
+    # Small integer entries make equal reduced costs and equal ratios
+    # common, so both tie rules decide pivots here.
+    rng = np.random.default_rng(51)
+    col_ties = row_ties = optimal = 0
+    for case in range(300):
+        m = int(rng.integers(1, 12))
+        k = int(rng.integers(1, 5))
+        G = rng.integers(-2, 3, (m, k)).astype(float)
+        if case % 3 == 0:
+            G = G[rng.integers(0, m, 2 * m)]
+        if case % 4 == 0:
+            G = normalize_rows(G + (G == 0).all(axis=1, keepdims=True))
+        cap = float(rng.choice([1.0, 2.0, 0.5]))
+        status, _, c, r = _assert_kernels_agree(G, cap)
+        optimal += status == lp.OPTIMAL
+        col_ties += c
+        row_ties += r
+    assert optimal == 300
+    assert col_ties >= 50 and row_ties >= 50
+
+
+def test_condensed_kernel_matches_full_tableau_under_blands_rule():
+    # stall_limit = 0 switches to Bland's rule at the first degenerate pivot,
+    # and every start rhs but the cap's is zero.
+    rng = np.random.default_rng(52)
+    col_ties = 0
+    for _ in range(200):
+        m = int(rng.integers(2, 15))
+        k = int(rng.integers(1, 6))
+        G = rng.integers(-3, 4, (m, k)).astype(float)
+        status, pivots, c, _ = _assert_kernels_agree(G, stall_limit=0, max_iter=500)
+        assert status == lp.OPTIMAL
+        col_ties += c
+    assert col_ties >= 50
+
+
+def test_condensed_kernel_matches_full_tableau_when_unbounded_or_cut_short():
+    rng = np.random.default_rng(53)
+    statuses = []
+    for case in range(120):
+        m = int(rng.integers(2, 10))
+        k = int(rng.integers(1, 5))
+        G = rng.standard_normal((m, k)).round(1)
+        if case % 2 == 0:
+            # A pivot tolerance above most entries leaves improving columns
+            # without an eligible row.
+            statuses.append(_assert_kernels_agree(G, piv_tol=float(rng.uniform(0.5, 2.0)))[0])
+        else:
+            statuses.append(_assert_kernels_agree(G, max_iter=int(rng.integers(0, 4)))[0])
+    assert {lp.UNBOUNDED, lp.ITERATION_LIMIT} <= set(statuses)
+    # The cap row alone: no margin row binds t, so t+ enters at the cap row.
+    assert _assert_kernels_agree(np.zeros((0, 2)))[:2] == (lp.OPTIMAL, 1)
+
+
+def test_condensed_kernel_matches_full_tableau_on_c10_lps(monkeypatch):
+    from test_optimize import _c10_region
+
+    lps = []
+
+    def recording(G, cap):
+        lps.append(G)
+        return lp_max_margin(G, cap=cap)
+
+    monkeypatch.setattr(optimize, "lp_max_margin", recording)
+    for seed in (11000000, 3400002, 300715):
+        for trial in range(4):
+            region_global_min_report(*_c10_region(seed, trial))
+    assert len(lps) >= 8
+    pivots = [_assert_kernels_agree(G)[1] for G in lps]
+    assert max(pivots) >= 20

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -211,6 +212,32 @@ def test_pattern_object_round_trip():
     assert report.contains_zero_loss  # the sampler's own params witness the region
 
 
+def _dict_unit_classes(A, v):
+    """Reference labelling: one class per (row bytes, sign of v), numbered by first appearance."""
+    classes: dict = {}
+    label = np.array([classes.setdefault((row.tobytes(), s), len(classes)) for row, s in zip(A, v > 0.0)])
+    return label, np.unique(label, return_index=True)[1]
+
+
+def test_unit_classes_match_dict_labelling():
+    rng = np.random.default_rng(15)
+    shapes = [(400, 30), (93, 5), (50, 70), (40, 130), (1, 1), (7, 8), (12, 9)]
+    for case in range(70):
+        d1, n = shapes[case % len(shapes)]
+        # Draw rows from a few distinct ones so classes repeat, with mixed
+        # signs of v inside one row, and distinct rows that share bytes
+        # before their last bits (n > 64 and n not a multiple of 8).
+        pool = rng.integers(0, 2, (int(rng.integers(1, 6)), n), dtype=np.int8)
+        A = pool[rng.integers(0, pool.shape[0], d1)]
+        if case % 2:
+            A[rng.integers(0, d1, d1 // 4 + 1), -1] ^= 1
+        v = rng.choice([-1.0, 1.0], d1) * rng.uniform(0.5, 2.0, d1)
+        label, first = optimize._unit_classes(A, v)
+        expected_label, expected_first = _dict_unit_classes(A, v)
+        assert np.array_equal(label, expected_label)
+        assert np.array_equal(first, expected_first)
+
+
 def _uncollapsed_lp(A, X, y, v, tol=DEFAULT_TOL):
     """Test oracle: the homogeneous margin LP with one column block per unit.
 
@@ -276,6 +303,34 @@ def _c10_region(seed, trial):
         mp.setattr(experiments, "region_global_min_report", recording)
         experiments._globalmin_trial(cfg, cfg.cells()[0], 0, trial)
     return seen[-1]
+
+
+def test_c10_verdicts_and_witnesses_pinned(monkeypatch):
+    # sha256 over trials 0..49 of the seed-110 C10 cell (the benchmark's
+    # globalmin-c10 seed) of the verdict, the resample count, the margin and
+    # the witness bytes, recorded with the full-tableau pivot kernel.  Any
+    # change of pivots or of rounding in the solve moves it.
+    reports = []
+
+    def recording(A, X, y, v, tol):
+        reports.append(optimize.region_global_min_report(A, X, y, v, tol))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "region_global_min_report", recording)
+    cfg = _c10_config(110)
+    digest = hashlib.sha256()
+    yes = 0
+    for trial in range(50):
+        ok, attempt = experiments._globalmin_trial(cfg, cfg.cells()[0], 0, trial)
+        report = reports[-1]
+        yes += ok
+        digest.update(bytes([ok, attempt]))
+        digest.update(np.float64(report.margin).tobytes())
+        if report.witness is not None:
+            for part in (report.witness.W, report.witness.b, report.witness.v):
+                digest.update(np.ascontiguousarray(part).tobytes())
+    assert yes == 41
+    assert digest.hexdigest() == "6fb2b98aa420f8ee7a6d3420a7c97c3f86c9bd658ee825c76889fec9633c615b"
 
 
 # Trial 1 at these grid seeds: two data points 2e-4 (300715) and 2e-5
