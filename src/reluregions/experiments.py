@@ -8,6 +8,15 @@ generator seeded by a counter-based split of the master seed, so results are
 bit-reproducible regardless of worker count.  Draws that hit a region
 boundary (degenerate pattern) are never scored; they are resampled with a
 fresh attempt counter and reported.
+
+Draws are made per trial; the rank grid decides per block.  A block of a
+cell's trials draws each trial's attempt 0 from that trial's own generator,
+then stacks the draws and computes preactivations, boundary flags, patterns,
+Khatri-Rao Jacobians and their ranks in one numpy call each (one SVD call
+per block).  A trial whose attempt 0 lies on a boundary is redone by the
+per-trial loop, so a block gives the same outcomes and resample counts as
+deciding its trials one at a time.  The globalmin grid decides one trial at
+a time.
 """
 
 from __future__ import annotations
@@ -17,14 +26,21 @@ import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from math import ceil
+from math import ceil, sqrt
 
 import numpy as np
 
 from .errors import InputError, InvariantViolation
 from .exact import binary_matrix_is_singular
 from .linalg import Tol, as_matrix
-from .model import Params, activation_pattern, forward, jacobian_full_rank
+from .model import (
+    Params,
+    activation_pattern,
+    forward,
+    jacobian_full_rank,
+    stacked_jacobian_ranks,
+    stacked_patterns,
+)
 from .optimize import region_global_min_report
 
 __all__ = [
@@ -49,6 +65,8 @@ CSV_HEADER = "experiment,d0,d1,n,trials,seed,metric,value,resamples"
 MAX_N = 30
 MAX_D1 = 400
 MAX_RESAMPLE = 100
+# Float entries of the stacked Jacobians of one rank-grid block (4 MB).
+_BLOCK_ENTRIES = 1 << 19
 D0_RULES = ("n/4", "n/2", "n", "2n")
 INIT_SCHEMES = ("sqrtd1", "he")
 
@@ -143,12 +161,17 @@ def init_params(scheme: str, d0: int, d1: int, seed, bias: bool = True) -> Param
     """
     if scheme not in INIT_SCHEMES:
         raise InputError(f"unknown init scheme {scheme!r}; expected one of {INIT_SCHEMES}")
-    rng = _rng(seed)
-    bound = 1.0 / np.sqrt(d1) if scheme == "sqrtd1" else np.sqrt(6.0 / d0)
-    W = rng.uniform(-bound, bound, (d1, d0))
-    b = rng.uniform(-bound, bound, d1) if bias else None
+    W, b = _uniform_weights(scheme, d0, d1, _rng(seed), bias)
     v = np.where(np.arange(d1) % 2 == 0, 1.0, -1.0)
     return Params(W, b, v)
+
+
+def _uniform_weights(scheme: str, d0: int, d1: int, rng: np.random.Generator, bias: bool):
+    """The (W, b) draw of ``init_params``, without validation or the head."""
+    bound = 1.0 / sqrt(d1) if scheme == "sqrtd1" else sqrt(6.0 / d0)
+    W = rng.uniform(-bound, bound, (d1, d0))
+    b = rng.uniform(-bound, bound, d1) if bias else None
+    return W, b
 
 
 @dataclass(frozen=True)
@@ -197,7 +220,7 @@ class ExperimentConfig:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellResult:
     n: int
     d0: int
@@ -207,7 +230,7 @@ class CellResult:
     resamples: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridResult:
     experiment: str
     metric: str
@@ -233,6 +256,31 @@ def _rank_trial(cfg: ExperimentConfig, cell, cell_index: int, trial_index: int):
     raise InvariantViolation("exceeded resample budget for degenerate patterns")
 
 
+def _rank_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range) -> list:
+    """``_rank_trial`` outcomes for a block of one cell's trials, decided together."""
+    n, d0, d1 = cell
+    X = np.empty((len(trials), d0, n))
+    W = np.empty((len(trials), d1, d0))
+    b = np.empty((len(trials), d1)) if cfg.bias else None
+    for k, t in enumerate(trials):
+        rng = _trial_rng(cfg, cell_index, t, 0)
+        X[k] = gen_gaussian_data(d0, n, rng)
+        W[k], bk = _uniform_weights(cfg.init, d0, d1, rng, cfg.bias)
+        if cfg.bias:
+            b[k] = bk
+    A, degenerate = stacked_patterns(W, b, X, cfg.tol)
+    full = stacked_jacobian_ranks(A, X, cfg.bias, cfg.tol) == n
+    return [
+        _rank_trial(cfg, cell, cell_index, t) if redo else (bool(ok), 0)
+        for t, ok, redo in zip(trials, full, degenerate)
+    ]
+
+
+def _rank_block_size(cfg: ExperimentConfig, cell) -> int:
+    n, d0, d1 = cell
+    return max(1, _BLOCK_ENTRIES // (d1 * (d0 + cfg.bias) * n))
+
+
 def _globalmin_trial(cfg: ExperimentConfig, cell, cell_index: int, trial_index: int):
     n, d0, d1 = cell
     for attempt in range(MAX_RESAMPLE):
@@ -248,13 +296,24 @@ def _globalmin_trial(cfg: ExperimentConfig, cell, cell_index: int, trial_index: 
     raise InvariantViolation("exceeded resample budget for degenerate patterns")
 
 
-def _run_grid(cfg: ExperimentConfig, trial, experiment: str, metric: str) -> GridResult:
+def _globalmin_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range) -> list:
+    return [_globalmin_trial(cfg, cell, cell_index, t) for t in trials]
+
+
+def _run_grid(cfg: ExperimentConfig, decide, block_size, experiment: str, metric: str) -> GridResult:
+    """Score every cell; ``decide`` maps (cfg, cell, cell index, trial range) to (ok, resamples) per trial."""
     cells = cfg.cells()
-    tasks = [(ci, ti) for ci in range(len(cells)) for ti in range(cfg.trials)]
+    every_trial = range(cfg.trials)
+    tasks = [
+        (ci, every_trial[start : start + size])
+        for ci, cell in enumerate(cells)
+        for size in (block_size(cfg, cell),)
+        for start in range(0, cfg.trials, size)
+    ]
 
     def one(task):
-        ci, ti = task
-        return trial(cfg, cells[ci], ci, ti)
+        ci, trials = task
+        return decide(cfg, cells[ci], ci, trials)
 
     if cfg.workers == 1:
         outcomes = [one(task) for task in tasks]
@@ -264,9 +323,10 @@ def _run_grid(cfg: ExperimentConfig, trial, experiment: str, metric: str) -> Gri
 
     hits = [0] * len(cells)
     resamples = [0] * len(cells)
-    for (ci, _), (ok, extra) in zip(tasks, outcomes):
-        hits[ci] += int(ok)
-        resamples[ci] += extra
+    for (ci, _), block in zip(tasks, outcomes):
+        for ok, extra in block:
+            hits[ci] += int(ok)
+            resamples[ci] += extra
     results = tuple(
         CellResult(n, d0, d1, cfg.trials, hits[ci] / cfg.trials, resamples[ci])
         for ci, (n, d0, d1) in enumerate(cells)
@@ -276,12 +336,12 @@ def _run_grid(cfg: ExperimentConfig, trial, experiment: str, metric: str) -> Gri
 
 def run_rank_grid(cfg: ExperimentConfig) -> GridResult:
     """Fraction of random initializations whose region has full-rank Jacobian."""
-    return _run_grid(cfg, _rank_trial, "rank-grid", "full_rank_fraction")
+    return _run_grid(cfg, _rank_block, _rank_block_size, "rank-grid", "full_rank_fraction")
 
 
 def run_globalmin_grid(cfg: ExperimentConfig) -> GridResult:
     """Fraction of sampled regions containing a zero-loss global minimum."""
-    return _run_grid(cfg, _globalmin_trial, "globalmin-grid", "zero_loss_fraction")
+    return _run_grid(cfg, _globalmin_block, lambda cfg, cell: 1, "globalmin-grid", "zero_loss_fraction")
 
 
 def run_singularity_study(dims, trials: int, seed: int) -> GridResult:

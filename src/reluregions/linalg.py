@@ -1,9 +1,11 @@
 """Dense real linear algebra with explicit tolerances.
 
 Everything here is a thin, contract-checked layer over numpy's SVD/lstsq
-machinery.  All rank decisions in the package (``mat_rank`` and
-``nullspace_basis``) share one rule, ``_rank``, so that a single relative
-singular-value threshold governs them.
+machinery.  All rank decisions in the package (``mat_rank``,
+``nullspace_basis`` and the batched ``stacked_ranks``) share one rule,
+``_rank``, so that a single relative singular-value threshold governs them.
+The ``stacked_`` functions take arrays with leading batch axes and skip
+validation; their callers build those arrays from validated draws.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ __all__ = [
     "embed_ones",
     "normalize_rows",
     "mat_rank",
+    "stacked_ranks",
     "nullspace_basis",
     "least_squares_min_norm",
     "khatri_rao",
+    "stacked_khatri_rao",
 ]
 
 
@@ -97,11 +101,22 @@ def normalize_rows(G) -> np.ndarray:
     return out
 
 
-def _rank(s: np.ndarray, tol: Tol) -> int:
-    """Count of singular values ``s`` (descending) above ``rank_tol`` times the largest."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
+def _rank(s: np.ndarray, tol: Tol) -> np.ndarray:
+    """Count of singular values ``s`` (descending along the last axis) above ``rank_tol`` times the largest.
+
+    An all-zero or empty spectrum counts 0.  Leading axes stack independent
+    spectra; the result keeps them.
+    """
+    return np.count_nonzero(s > tol.rank_tol * s[..., :1], axis=-1)
+
+
+def stacked_ranks(M: np.ndarray, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+    """Numerical ranks of stacked matrices ``M`` (..., rows, cols) from one SVD call.
+
+    The input is trusted (no validation); ``mat_rank`` is the checked
+    single-matrix form.
+    """
+    return _rank(np.linalg.svd(M, compute_uv=False), tol)
 
 
 def mat_rank(M, tol: Tol = DEFAULT_TOL) -> int:
@@ -109,10 +124,7 @@ def mat_rank(M, tol: Tol = DEFAULT_TOL) -> int:
 
     The zero matrix (and any empty matrix) has rank 0.
     """
-    A = as_matrix(M, name="M")
-    if A.size == 0:
-        return 0
-    return _rank(np.linalg.svd(A, compute_uv=False), tol)
+    return int(stacked_ranks(as_matrix(M, name="M"), tol))
 
 
 def nullspace_basis(M, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -152,6 +164,11 @@ def khatri_rao(A, X) -> np.ndarray:
         raise InputError(
             f"column counts differ: A has {A.shape[1]}, X has {X.shape[1]}"
         )
-    ra, n = A.shape
-    rx = X.shape[0]
-    return (A[:, None, :] * X[None, :, :]).reshape(ra * rx, n)
+    return stacked_khatri_rao(A, X)
+
+
+def stacked_khatri_rao(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``khatri_rao`` over stacked pairs: A (..., ra, n) and X (..., rx, n), trusted input."""
+    ra, n = A.shape[-2:]
+    rx = X.shape[-2]
+    return (A[..., :, None, :] * X[..., None, :, :]).reshape(A.shape[:-2] + (ra * rx, n))

@@ -8,6 +8,11 @@ as a binary pattern matrix with one row per unit and one column per data
 point.  On such a cone the network output is linear in the parameters and
 its Jacobian is the columnwise Kronecker product of the (v-scaled) pattern
 columns with the (bias-embedded) input columns (``optimize.design_matrix``).
+
+``activation_pattern`` and ``jacobian_full_rank`` validate one draw;
+``stacked_patterns`` and ``stacked_jacobian_ranks`` apply the same rules
+(``on_boundary``, the Khatri-Rao layout, ``linalg._rank``) to arrays with
+leading axes of trusted draws, as the rank grid's blocks are.
 """
 
 from __future__ import annotations
@@ -17,7 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tol, as_matrix, as_vector, embed_ones, khatri_rao, mat_rank
+from .linalg import (
+    DEFAULT_TOL,
+    Tol,
+    as_matrix,
+    as_vector,
+    embed_ones,
+    khatri_rao,
+    mat_rank,
+    stacked_khatri_rao,
+    stacked_ranks,
+)
 
 __all__ = [
     "Dataset",
@@ -25,8 +40,11 @@ __all__ = [
     "ActivationPattern",
     "forward",
     "loss",
+    "on_boundary",
+    "stacked_patterns",
     "activation_pattern",
     "jacobian_full_rank",
+    "stacked_jacobian_ranks",
 ]
 
 
@@ -125,25 +143,58 @@ class ActivationPattern:
         return self.A.shape[1]
 
 
-def _preactivations(p: Params, X: np.ndarray) -> np.ndarray:
+def _checked_inputs(p: Params, X) -> np.ndarray:
+    X = as_matrix(X, name="X")
     if X.shape[0] != p.d0:
         raise InputError(f"X has {X.shape[0]} rows but W expects {p.d0}")
-    pre = p.W @ X
-    if p.b is not None:
-        pre = pre + p.b[:, None]
+    return X
+
+
+def _preactivations(W: np.ndarray, b: np.ndarray | None, X: np.ndarray) -> np.ndarray:
+    pre = W @ X
+    if b is not None:
+        pre = pre + b[..., None]
     return pre
 
 
 def forward(p: Params, X) -> np.ndarray:
     """Network outputs on every column of X."""
-    X = as_matrix(X, name="X")
-    return p.v @ np.maximum(_preactivations(p, X), 0.0)
+    X = _checked_inputs(p, X)
+    return p.v @ np.maximum(_preactivations(p.W, p.b, X), 0.0)
 
 
 def loss(p: Params, data: Dataset) -> float:
     """Squared-error loss, half the squared residual norm."""
     r = forward(p, data.X) - data.y
     return 0.5 * float(r @ r)
+
+
+def on_boundary(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, pre: np.ndarray, tol: Tol) -> np.ndarray:
+    """Whether any preactivation ``pre`` of ``W X (+ b)`` lies on a region boundary.
+
+    A preactivation counts as zero when it is within ``lp_tol`` of zero
+    relative to the norms of its (bias-embedded) weight row and input
+    column.  Leading axes stack independent draws; the result keeps them.
+    """
+    if b is not None:
+        row_scale = np.sqrt(np.sum(W**2, axis=-1) + b**2)
+        col_scale = np.sqrt(np.sum(X**2, axis=-2) + 1.0)
+    else:
+        row_scale = np.linalg.norm(W, axis=-1)
+        col_scale = np.linalg.norm(X, axis=-2)
+    scale = row_scale[..., :, None] * col_scale[..., None, :]
+    return np.any(np.abs(pre) <= tol.lp_tol * scale, axis=(-2, -1))
+
+
+def stacked_patterns(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray]:
+    """Int8 activation patterns and boundary flags of stacked draws.
+
+    ``W`` is (..., d1, d0), ``b`` (..., d1) or None, ``X`` (..., d0, n); the
+    inputs are trusted (no validation).  Returns patterns (..., d1, n) and
+    ``on_boundary`` flags (...).
+    """
+    pre = _preactivations(W, b, X)
+    return (pre > 0.0).astype(np.int8), on_boundary(W, b, X, pre, tol)
 
 
 def activation_pattern(p: Params, X, tol: Tol = DEFAULT_TOL) -> tuple[ActivationPattern, bool]:
@@ -155,18 +206,9 @@ def activation_pattern(p: Params, X, tol: Tol = DEFAULT_TOL) -> tuple[Activation
     Monte Carlo drivers must resample such draws; regions are open sets and
     their boundaries carry no probability mass.
     """
-    X = as_matrix(X, name="X")
-    pre = _preactivations(p, X)
-    if p.b is not None:
-        row_scale = np.sqrt(np.sum(p.W**2, axis=1) + p.b**2)
-        col_scale = np.sqrt(np.sum(X**2, axis=0) + 1.0)
-    else:
-        row_scale = np.linalg.norm(p.W, axis=1)
-        col_scale = np.linalg.norm(X, axis=0)
-    scale = np.outer(row_scale, col_scale)
-    degenerate = bool(np.any(np.abs(pre) <= tol.lp_tol * scale))
-    A = (pre > 0.0).astype(np.int8)
-    return ActivationPattern(A, bias_flag=p.b is not None), degenerate
+    X = _checked_inputs(p, X)
+    A, degenerate = stacked_patterns(p.W, p.b, X, tol)
+    return ActivationPattern(A, bias_flag=p.b is not None), bool(degenerate)
 
 
 def jacobian_full_rank(A: ActivationPattern, X, tol: Tol = DEFAULT_TOL) -> bool:
@@ -183,3 +225,14 @@ def jacobian_full_rank(A: ActivationPattern, X, tol: Tol = DEFAULT_TOL) -> bool:
         raise InputError(f"X has {X.shape[1]} columns but pattern has {A.n}")
     Xh = embed_ones(X) if A.bias_flag else X
     return mat_rank(khatri_rao(A.A.astype(float), Xh), tol) == A.n
+
+
+def stacked_jacobian_ranks(A: np.ndarray, X: np.ndarray, bias: bool, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+    """Jacobian ranks of stacked patterns ``A`` (..., d1, n) on inputs ``X`` (..., d0, n).
+
+    The same matrix as ``jacobian_full_rank`` builds, ranked by one SVD call
+    over the stack; the inputs are trusted (no validation).
+    """
+    if bias:
+        X = np.concatenate([X, np.ones(X.shape[:-2] + (1, X.shape[-1]))], axis=-2)
+    return stacked_ranks(stacked_khatri_rao(A.astype(float), X), tol)

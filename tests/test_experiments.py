@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from reluregions import (
     run_rank_grid,
     run_singularity_study,
 )
-from reluregions import experiments
+from reluregions import experiments, model
 from reluregions.errors import InputError, InvariantViolation
 from reluregions.experiments import (
     CSV_HEADER,
@@ -28,6 +30,7 @@ from reluregions.experiments import (
     read_grid_csv,
     resolve_d0,
 )
+from reluregions.linalg import Tol
 
 
 def test_gaussian_data_deterministic():
@@ -140,19 +143,24 @@ def test_rank_grid_impossible_width_is_zero():
 
 
 def test_resample_budget_exhausted_raises(monkeypatch):
-    calls = []
+    # Both grids consult one boundary rule, model.on_boundary: the rank grid's
+    # batched attempt 0 and every per-trial attempt go through it.  The rank
+    # grid draws attempt 0 twice (batched, then redone per trial), so attempts
+    # are counted as distinct preactivation draws.
+    attempts = set()
 
-    def always_degenerate(params, X, tol):
-        calls.append(1)
-        return activation_pattern(params, X, tol)[0], True
+    def always_degenerate(W, b, X, pre, tol):
+        for draw in pre.reshape(-1, *pre.shape[-2:]):
+            attempts.add(draw.tobytes())
+        return np.ones(pre.shape[:-2], dtype=bool)
 
-    monkeypatch.setattr(experiments, "activation_pattern", always_degenerate)
+    monkeypatch.setattr(model, "on_boundary", always_degenerate)
     cfg = ExperimentConfig(n_values=(3,), d1_values=(2,), trials=1, seed=4)
     for run in (run_rank_grid, run_globalmin_grid):
-        calls.clear()
+        attempts.clear()
         with pytest.raises(InvariantViolation, match="resample budget"):
             run(cfg)
-        assert len(calls) == MAX_RESAMPLE
+        assert len(attempts) == MAX_RESAMPLE
 
 
 def test_rank_grid_high_dimension_saturates():
@@ -249,3 +257,63 @@ def test_read_grid_csv_rejects_garbage(tmp_path):
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_grid_csv(path)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("init", ["sqrtd1", "he"])
+@pytest.mark.parametrize("d0_rule", ["1", "n"])
+@pytest.mark.parametrize("lp_tol", [None, 0.3])
+def test_rank_block_matches_per_trial_loop(monkeypatch, bias, init, d0_rule, lp_tol):
+    rng = np.random.default_rng([int(bias), len(init), len(d0_rule), int(lp_tol is None)])
+    strict = lp_tol is not None
+    # Under the strict tolerance, d0 = n = 3 with a bias can exhaust the resample budget.
+    n_hi = 9 if not strict else 3 if d0_rule == "n" else 4
+    cfg = ExperimentConfig(
+        n_values=tuple(int(n) for n in rng.integers(2, n_hi, size=2)),
+        d1_values=tuple(int(d) for d in rng.integers(1, 3 if strict else 13, size=2)),
+        d0_rule=d0_rule,
+        trials=30,
+        seed=int(rng.integers(1000)),
+        init=init,
+        bias=bias,
+        tol=Tol(lp_tol=lp_tol) if strict else Tol(),
+    )
+    resamples = 0
+    for ci, cell in enumerate(cfg.cells()):
+        expected = [experiments._rank_trial(cfg, cell, ci, t) for t in range(cfg.trials)]
+        resamples += sum(extra for _, extra in expected)
+        assert experiments._rank_block(cfg, cell, ci, range(cfg.trials)) == expected
+        assert experiments._rank_block(cfg, cell, ci, range(7, 19)) == expected[7:19]
+    # The strict tolerance puts many attempt-0 draws on a boundary, except in
+    # one dimension without a bias, where |w x| always equals its scale.
+    assert (resamples > 0) == (strict and (bias or d0_rule == "n"))
+    default = grid_csv_text(run_rank_grid(cfg))
+    monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 1)
+    assert all(experiments._rank_block_size(cfg, cell) == 1 for cell in cfg.cells())
+    assert grid_csv_text(run_rank_grid(cfg)) == default
+
+
+def test_rank_block_size_bounds_stacked_jacobians():
+    cfg = ExperimentConfig(n_values=(30,), d1_values=(400,), d0_rule="2n", trials=1000)
+    assert experiments._rank_block_size(cfg, cfg.cells()[0]) == 1
+    c8 = ExperimentConfig(n_values=(16,), d1_values=(10,), d0_rule="n", trials=1000)
+    n, d0, d1 = cell = c8.cells()[0]
+    size = experiments._rank_block_size(c8, cell)
+    assert 1 < size < c8.trials
+    assert size * d1 * (d0 + 1) * n <= experiments._BLOCK_ENTRIES
+
+
+def test_grid_results_are_slotted(tmp_path):
+    cfg = ExperimentConfig(n_values=(4, 5), d1_values=(2, 6), d0_rule="1", trials=8, seed=12)
+    result = run_rank_grid(cfg)
+    for obj in (result, result.cells[0]):
+        assert not hasattr(obj, "__dict__")
+        # Python 3.11 raises TypeError for frozen slotted dataclasses (gh-90562).
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            obj.seed = 1
+    assert run_rank_grid(cfg) == result
+    assert result != GridResult(result.experiment, result.metric, result.seed + 1, result.cells)
+    path = tmp_path / "grid.csv"
+    emit_outputs(result, csv_path=path)
+    # Every value is a multiple of 1/8, so the CSV round trip is exact.
+    assert read_grid_csv(path) == result

@@ -1,0 +1,71 @@
+"""Byte pins of rank-grid CSVs.
+
+Each sha256 below was recorded with the per-trial rank grid (one SVD per
+trial), before trials were decided in stacked blocks.  The blocked grid must
+reproduce every byte: same draws, same decisions, same resample counts.
+"""
+
+import hashlib
+
+import pytest
+
+from reluregions.cli import main
+from reluregions.experiments import ExperimentConfig, grid_csv_text, run_rank_grid
+from reluregions.linalg import Tol
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GRIDS = {
+    # C8: d0 = n, the acceptance grid at its seed, widths and trial count.
+    "c8": (
+        dict(n_values=(4, 8, 16), d1_values=tuple(range(1, 11)), d0_rule="n", trials=1000, seed=108),
+        "27fac0d22fad86666bfd5b54b556e56ae779c8d686346abf2484230ad373ef25",
+    ),
+    # 1-d inputs at C9's seed.
+    "c9_1d": (
+        dict(n_values=(4, 16), d1_values=tuple(range(2, 100, 4)), d0_rule="1", trials=100, seed=109),
+        "dd6ec39ae2e4ffd3ee3b758276eff5a28343c1959d0496ce96646bb32f46d2af",
+    ),
+    "no_bias_sqrtd1": (
+        dict(n_values=(3, 5, 8), d1_values=(1, 2, 4, 6, 9), d0_rule="n/2", trials=200, seed=7, init="sqrtd1", bias=False),
+        "267e42d3e3139e4002b72906616092b2ec9750510e6d51521908696d1f73cbbc",
+    ),
+    # A strict boundary tolerance: 3375 resamples over 900 trials.
+    "he_resampling": (
+        dict(n_values=(3, 5), d1_values=(2, 4, 8), d0_rule="n/2", trials=150, seed=13, init="he", tol=Tol(lp_tol=0.05)),
+        "211d061a30cbae7132978d23dc6a2e9aec883c34934ad6633d8e715ead5529c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_rank_grid_csv_pinned(name):
+    kwargs, digest = GRIDS[name]
+    assert _sha(grid_csv_text(run_rank_grid(ExperimentConfig(**kwargs)))) == digest
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_c11_rank_grid_pinned_for_any_worker_count(workers):
+    cfg = ExperimentConfig(n_values=(5, 6), d1_values=(3, 5), d0_rule="1", trials=8, seed=111, workers=workers)
+    digest = "f92f81183d723a1fe04fb01623bba9de8b38c86eec9312be3ff01edb45f6ae79"
+    assert _sha(grid_csv_text(run_rank_grid(cfg))) == digest
+
+
+def test_cli_rank_grid_stdout_pinned(capsys):
+    args = [
+        "rank-grid",
+        "--d0", "n/2",
+        "--n-min", "3", "--n-max", "7", "--n-step", "2",
+        "--d1-min", "1", "--d1-max", "9", "--d1-step", "2",
+        "--trials", "200",
+        "--seed", "7",
+        "--init", "sqrtd1",
+        "--no-bias",
+        "--workers", "2",
+    ]
+    assert main(args) == 0
+    digest = "6ea8af1361f3b9be47ec000c56f4b1ff597bd71d255896564a1722ba6ce105f0"
+    assert _sha(capsys.readouterr().out) == digest

@@ -12,6 +12,7 @@ from reluregions import (
     rational_rank,
 )
 from reluregions.errors import InputError
+from reluregions.linalg import stacked_khatri_rao, stacked_ranks
 
 
 def test_mat_rank_identity():
@@ -156,3 +157,31 @@ def test_normalize_rows_keeps_zero_rows():
     out = normalize_rows([[3.0, 4.0], [0.0, 0.0]])
     assert np.allclose(out[0], [0.6, 0.8])
     assert np.array_equal(out[1], [0.0, 0.0])
+
+
+def test_stacked_ranks_match_mat_rank_per_matrix():
+    rng = np.random.default_rng(21)
+    tol = Tol()
+    for rows, cols in [(5, 7), (8, 3), (1, 4), (4, 1), (6, 6)]:
+        stack = []
+        for k in range(12):
+            r = k % (min(rows, cols) + 1)
+            stack.append(rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols)))
+        stack.append(np.zeros((rows, cols)))
+        stack.append(1e-12 * np.outer(np.arange(rows), np.ones(cols)) + np.eye(rows, cols))
+        ranks = stacked_ranks(np.stack(stack), tol)
+        assert ranks.shape == (len(stack),)
+        assert ranks.tolist() == [mat_rank(M, tol) for M in stack]
+    for shape in [(0, 3), (3, 0), (0, 0)]:
+        assert mat_rank(np.zeros(shape)) == 0
+        assert stacked_ranks(np.zeros((4,) + shape), tol).tolist() == [0] * 4
+
+
+def test_stacked_khatri_rao_matches_per_pair():
+    rng = np.random.default_rng(22)
+    A = rng.integers(0, 2, size=(5, 3, 6)).astype(float)
+    X = rng.standard_normal((5, 4, 6))
+    K = stacked_khatri_rao(A, X)
+    assert K.shape == (5, 12, 6)
+    for k in range(5):
+        assert np.array_equal(K[k], khatri_rao(A[k], X[k]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reluregions import (
+    DEFAULT_TOL,
     ActivationPattern,
     Dataset,
     Params,
@@ -16,6 +17,7 @@ from reluregions import (
     rational_rank,
 )
 from reluregions.errors import InputError
+from reluregions.model import stacked_jacobian_ranks, stacked_patterns
 from reluregions.onedim import StepVector
 
 
@@ -225,3 +227,25 @@ def test_jacobian_matches_embedding_dimensions():
     for j in range(3):
         expected = np.kron(np.array([1.0, -1.0]) * A.A[:, j], Xh[:, j])
         assert np.allclose(out[:, j], expected)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_stacked_patterns_and_ranks_match_per_draw(bias):
+    rng = np.random.default_rng(23)
+    d0, d1, n = 2, 3, 4
+    W = rng.uniform(-1.0, 1.0, (9, d1, d0))
+    b = rng.uniform(-1.0, 1.0, (9, d1)) if bias else None
+    X = rng.standard_normal((9, d0, n))
+    W[0, 1] = 0.0  # unit 1 of draw 0 is zero: on a boundary at every point
+    if bias:
+        b[0, 1] = 0.0
+    X[1, :, 2] = 0.0  # point 2 of draw 1 is on a boundary unless there is a bias
+    A, degenerate = stacked_patterns(W, b, X, DEFAULT_TOL)
+    full = stacked_jacobian_ranks(A, X, bias) == n
+    for k in range(9):
+        p = Params(W[k], None if b is None else b[k], np.where(np.arange(d1) % 2 == 0, 1.0, -1.0))
+        pattern, flag = activation_pattern(p, X[k])
+        assert np.array_equal(A[k], pattern.A) and A.dtype == np.int8
+        assert degenerate[k] == flag
+        assert full[k] == jacobian_full_rank(pattern, X[k])
+    assert degenerate.tolist() == [True, not bias] + [False] * 7
