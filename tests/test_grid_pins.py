@@ -1,7 +1,8 @@
-"""Byte pins of rank-grid CSVs.
+"""Byte pins of rank-grid and globalmin-grid CSVs.
 
-Each sha256 below was recorded with the per-trial rank grid (one SVD per
-trial), before trials were decided in stacked blocks.  The blocked grid must
+Each rank-grid sha256 below was recorded with the per-trial rank grid (one
+SVD per trial), before trials were decided in stacked blocks; each
+globalmin-grid sha256 with the per-trial globalmin loop.  The grids must
 reproduce every byte: same draws, same decisions, same resample counts.
 """
 
@@ -9,8 +10,9 @@ import hashlib
 
 import pytest
 
+from reluregions import experiments
 from reluregions.cli import main
-from reluregions.experiments import ExperimentConfig, grid_csv_text, run_rank_grid
+from reluregions.experiments import ExperimentConfig, grid_csv_text, run_globalmin_grid, run_rank_grid
 from reluregions.linalg import Tol
 
 
@@ -69,3 +71,46 @@ def test_cli_rank_grid_stdout_pinned(capsys):
     assert main(args) == 0
     digest = "6ea8af1361f3b9be47ec000c56f4b1ff597bd71d255896564a1722ba6ce105f0"
     assert _sha(capsys.readouterr().out) == digest
+
+
+GLOBALMIN_GRIDS = {
+    "random_d0_1": (
+        dict(n_values=(3, 6), d1_values=(2, 8, 24), d0_rule="1", trials=60, seed=31, labels="random", init="he"),
+        "ed0cac6b14e6d02c0689b3ff30e5de52d2b934d76e0b835ef65de33fcc50ede4",
+    ),
+    "poly2_d0_2_no_bias": (
+        dict(n_values=(3, 5), d1_values=(2, 6, 12), d0_rule="2", trials=60, seed=32, labels="poly:2", init="sqrtd1", bias=False),
+        "5a46c25fa3b389a892768e01a747dd431da248496def8f7f60fa712c7d58d54a",
+    ),
+    "teacher_half_n": (
+        dict(n_values=(4, 6), d1_values=(1, 3, 9), d0_rule="n/2", trials=60, seed=33, labels="teacher", init="he"),
+        "f86d3f0855182bc8d2d39031c3757767e597514d27e5d9e4203e5b5b110e0e4e",
+    ),
+    "teacher_no_bias_d0_1": (
+        dict(n_values=(3, 5), d1_values=(2, 5, 10), d0_rule="1", trials=60, seed=34, labels="teacher", init="sqrtd1", bias=False),
+        "9d400265dc1aa4e57c25a76f03fbf104ad00d4dab099f4b17bd3a10695d87d48",
+    ),
+    # A strict boundary tolerance: 1316 resamples over 360 trials.
+    "strict_resampling": (
+        dict(n_values=(3, 5), d1_values=(2, 4, 8), d0_rule="n/2", trials=60, seed=35, labels="poly:2", init="he", tol=Tol(lp_tol=0.05)),
+        "fa9596c1cbcd9567a9ef941e96244b26cbe17625648dc719ae8d449a835887cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GLOBALMIN_GRIDS))
+def test_globalmin_grid_csv_pinned(name):
+    kwargs, digest = GLOBALMIN_GRIDS[name]
+    assert _sha(grid_csv_text(run_globalmin_grid(ExperimentConfig(**kwargs)))) == digest
+
+
+# One-trial blocks keep the worker path busy with many tasks.
+@pytest.mark.parametrize("workers, block_entries", [(1, None), (2, None), (4, None), (4, 1)])
+def test_c10_globalmin_grid_pinned_for_any_worker_count(monkeypatch, workers, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", block_entries)
+    cfg = ExperimentConfig(
+        n_values=(5,), d1_values=(93,), d0_rule="1", trials=200, seed=110, labels="random", init="he", workers=workers
+    )
+    digest = "14072383c89836e547a27cedbcdcd9c5aead70b1eee14380a6348dd45c186f8b"
+    assert _sha(grid_csv_text(run_globalmin_grid(cfg))) == digest
