@@ -5,18 +5,15 @@ initialization lands in a region with full-rank Jacobian, or the probability
 that it lands in a region containing a zero-loss global minimum.  Each trial
 is a pure function of (config, cell index, trial index, attempt), with its
 generator seeded by a counter-based split of the master seed, so results are
-bit-reproducible regardless of worker count.  Draws that hit a region
-boundary (degenerate pattern) are never scored; they are resampled with a
-fresh attempt counter and reported.
+bit-reproducible regardless of worker count.
 
-Draws are made per trial; the rank grid decides per block.  A block of a
-cell's trials draws each trial's attempt 0 from that trial's own generator,
-then stacks the draws and computes preactivations, boundary flags, patterns,
-Khatri-Rao Jacobians and their ranks in one numpy call each (one SVD call
-per block).  A trial whose attempt 0 lies on a boundary is redone by the
-per-trial loop, so a block gives the same outcomes and resample counts as
-deciding its trials one at a time.  The globalmin grid decides one trial at
-a time.
+Both grids draw through one path, ``_draw_block``.  Each round flags the
+pending draws of a block of a cell's trials with one ``stacked_patterns``
+call; a draw on a region boundary (degenerate pattern) is never scored, and
+only its trial is drawn again, at the next attempt, which is reported as a
+resample.  The rank grid then decides the block with one stacked SVD, the
+globalmin grid with one zero-loss report per trial.  A block gives the same
+outcomes as its trials drawn one at a time through the public API.
 """
 
 from __future__ import annotations
@@ -34,12 +31,13 @@ from .errors import InputError, InvariantViolation
 from .exact import binary_matrix_is_singular
 from .linalg import Tol, as_matrix
 from .model import (
+    ActivationPattern,
     Params,
-    activation_pattern,
     forward,
-    jacobian_full_rank,
     stacked_jacobian_ranks,
     stacked_patterns,
+    activation_pattern,  # not called here: the benchmark's tracer wraps
+    jacobian_full_rank,  # these two names of this module
 )
 from .optimize import region_global_min_report
 
@@ -65,7 +63,7 @@ CSV_HEADER = "experiment,d0,d1,n,trials,seed,metric,value,resamples"
 MAX_N = 30
 MAX_D1 = 400
 MAX_RESAMPLE = 100
-# Float entries of the stacked Jacobians of one rank-grid block (4 MB).
+# Float entries of the stacked Jacobians of one block of a cell's trials (4 MB).
 _BLOCK_ENTRIES = 1 << 19
 D0_RULES = ("n/4", "n/2", "n", "2n")
 INIT_SCHEMES = ("sqrtd1", "he")
@@ -162,8 +160,11 @@ def init_params(scheme: str, d0: int, d1: int, seed, bias: bool = True) -> Param
     if scheme not in INIT_SCHEMES:
         raise InputError(f"unknown init scheme {scheme!r}; expected one of {INIT_SCHEMES}")
     W, b = _uniform_weights(scheme, d0, d1, _rng(seed), bias)
-    v = np.where(np.arange(d1) % 2 == 0, 1.0, -1.0)
-    return Params(W, b, v)
+    return Params(W, b, _head(d1))
+
+
+def _head(d1: int) -> np.ndarray:
+    return np.where(np.arange(d1) % 2 == 0, 1.0, -1.0)
 
 
 def _uniform_weights(scheme: str, d0: int, d1: int, rng: np.random.Generator, bias: bool):
@@ -243,71 +244,68 @@ def _trial_rng(cfg: ExperimentConfig, cell_index: int, trial_index: int, attempt
     return np.random.default_rng(seq)
 
 
-def _rank_trial(cfg: ExperimentConfig, cell, cell_index: int, trial_index: int):
+def _draw_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range, labels: bool):
+    """Stacked X, y (None unless ``labels``), patterns and kept attempts of a block's trials.
+
+    Attempt ``a`` of trial ``t`` draws its data (then targets, if ``labels``)
+    and its first layer from ``_trial_rng(cfg, cell_index, t, a)``.  Each
+    round flags every pending draw with one ``stacked_patterns`` call, and
+    only the trials flagged on a boundary are drawn again.
+    """
     n, d0, d1 = cell
+    k = len(trials)
+    X = np.empty((k, d0, n))
+    y = np.empty((k, n)) if labels else None
+    A = np.empty((k, d1, n), dtype=np.int8)
+    attempts = np.zeros(k, dtype=int)
+    pending = np.arange(k)
     for attempt in range(MAX_RESAMPLE):
-        rng = _trial_rng(cfg, cell_index, trial_index, attempt)
-        X = gen_gaussian_data(d0, n, rng)
-        params = init_params(cfg.init, d0, d1, rng, bias=cfg.bias)
-        pattern, degenerate = activation_pattern(params, X, cfg.tol)
-        if degenerate:
-            continue
-        return jacobian_full_rank(pattern, X, cfg.tol), attempt
+        weights = []
+        for j in pending:
+            rng = _trial_rng(cfg, cell_index, trials[j], attempt)
+            X[j] = gen_cube_data(d0, n, rng) if labels else gen_gaussian_data(d0, n, rng)
+            if labels:
+                y[j] = gen_labels(cfg.labels, X[j], rng, d1=d1, init=cfg.init, bias=cfg.bias)
+            weights.append(_uniform_weights(cfg.init, d0, d1, rng, cfg.bias))
+        W, b = zip(*weights)
+        A[pending], flagged = stacked_patterns(np.stack(W), np.stack(b) if cfg.bias else None, X[pending], cfg.tol)
+        attempts[pending] = attempt
+        pending = pending[flagged]
+        if not pending.size:
+            return X, y, A, attempts.tolist()
     raise InvariantViolation("exceeded resample budget for degenerate patterns")
 
 
 def _rank_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range) -> list:
-    """``_rank_trial`` outcomes for a block of one cell's trials, decided together."""
-    n, d0, d1 = cell
-    X = np.empty((len(trials), d0, n))
-    W = np.empty((len(trials), d1, d0))
-    b = np.empty((len(trials), d1)) if cfg.bias else None
-    for k, t in enumerate(trials):
-        rng = _trial_rng(cfg, cell_index, t, 0)
-        X[k] = gen_gaussian_data(d0, n, rng)
-        W[k], bk = _uniform_weights(cfg.init, d0, d1, rng, cfg.bias)
-        if cfg.bias:
-            b[k] = bk
-    A, degenerate = stacked_patterns(W, b, X, cfg.tol)
-    full = stacked_jacobian_ranks(A, X, cfg.bias, cfg.tol) == n
+    """(full rank, resamples) per trial of a block, by one stacked SVD."""
+    X, _, A, attempts = _draw_block(cfg, cell, cell_index, trials, labels=False)
+    full = stacked_jacobian_ranks(A, X, cfg.bias, cfg.tol) == cell[0]
+    return list(zip(full.tolist(), attempts))
+
+
+def _globalmin_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range) -> list:
+    """(zero-loss region, resamples) per trial of a block, one report each."""
+    X, y, A, attempts = _draw_block(cfg, cell, cell_index, trials, labels=True)
+    v = _head(cell[2])
     return [
-        _rank_trial(cfg, cell, cell_index, t) if redo else (bool(ok), 0)
-        for t, ok, redo in zip(trials, full, degenerate)
+        (region_global_min_report(ActivationPattern(Ak, cfg.bias), Xk, yk, v, tol=cfg.tol).contains_zero_loss, attempt)
+        for Ak, Xk, yk, attempt in zip(A, X, y, attempts)
     ]
 
 
-def _rank_block_size(cfg: ExperimentConfig, cell) -> int:
+def _block_size(cfg: ExperimentConfig, cell) -> int:
     n, d0, d1 = cell
     return max(1, _BLOCK_ENTRIES // (d1 * (d0 + cfg.bias) * n))
 
 
-def _globalmin_trial(cfg: ExperimentConfig, cell, cell_index: int, trial_index: int):
-    n, d0, d1 = cell
-    for attempt in range(MAX_RESAMPLE):
-        rng = _trial_rng(cfg, cell_index, trial_index, attempt)
-        X = gen_cube_data(d0, n, rng)
-        y = gen_labels(cfg.labels, X, rng, d1=d1, init=cfg.init, bias=cfg.bias)
-        params = init_params(cfg.init, d0, d1, rng, bias=cfg.bias)
-        pattern, degenerate = activation_pattern(params, X, cfg.tol)
-        if degenerate:
-            continue
-        report = region_global_min_report(pattern, X, y, params.v, tol=cfg.tol)
-        return report.contains_zero_loss, attempt
-    raise InvariantViolation("exceeded resample budget for degenerate patterns")
-
-
-def _globalmin_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range) -> list:
-    return [_globalmin_trial(cfg, cell, cell_index, t) for t in trials]
-
-
-def _run_grid(cfg: ExperimentConfig, decide, block_size, experiment: str, metric: str) -> GridResult:
+def _run_grid(cfg: ExperimentConfig, decide, experiment: str, metric: str) -> GridResult:
     """Score every cell; ``decide`` maps (cfg, cell, cell index, trial range) to (ok, resamples) per trial."""
     cells = cfg.cells()
     every_trial = range(cfg.trials)
     tasks = [
         (ci, every_trial[start : start + size])
         for ci, cell in enumerate(cells)
-        for size in (block_size(cfg, cell),)
+        for size in (_block_size(cfg, cell),)
         for start in range(0, cfg.trials, size)
     ]
 
@@ -336,12 +334,12 @@ def _run_grid(cfg: ExperimentConfig, decide, block_size, experiment: str, metric
 
 def run_rank_grid(cfg: ExperimentConfig) -> GridResult:
     """Fraction of random initializations whose region has full-rank Jacobian."""
-    return _run_grid(cfg, _rank_block, _rank_block_size, "rank-grid", "full_rank_fraction")
+    return _run_grid(cfg, _rank_block, "rank-grid", "full_rank_fraction")
 
 
 def run_globalmin_grid(cfg: ExperimentConfig) -> GridResult:
     """Fraction of sampled regions containing a zero-loss global minimum."""
-    return _run_grid(cfg, _globalmin_block, lambda cfg, cell: 1, "globalmin-grid", "zero_loss_fraction")
+    return _run_grid(cfg, _globalmin_block, "globalmin-grid", "zero_loss_fraction")
 
 
 def run_singularity_study(dims, trials: int, seed: int) -> GridResult:

@@ -12,7 +12,7 @@ columns with the (bias-embedded) input columns (``optimize.design_matrix``).
 ``activation_pattern`` and ``jacobian_full_rank`` validate one draw;
 ``stacked_patterns`` and ``stacked_jacobian_ranks`` apply the same rules
 (``on_boundary``, the Khatri-Rao layout, ``linalg._rank``) to arrays with
-leading axes of trusted draws, as the rank grid's blocks are.
+leading axes of trusted draws, as the blocks of both Monte Carlo grids are.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, InvariantViolation
 from .linalg import DEFAULT_TOL, Tol, as_vector
-from .model import ActivationPattern, Params, activation_pattern, forward
+from .model import ActivationPattern, Params, activation_pattern, forward, on_boundary
 
 __all__ = [
     "StepVector",
@@ -303,16 +303,16 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
     x = D.x
     y = D.y
     # Every switching row of the construction crosses zero at the midpoint of
-    # two neighbours.  Points so close that a unit crossing there is
-    # degenerate admit no strict fit of a complete pattern.
+    # two neighbours; one stacked unit per midpoint flags the pairs so close
+    # that such a unit is degenerate, which admit no strict fit.
     if n > 1:
-        mids = 0.5 * (x[:-1] + x[1:])
-        units = Params(np.ones((n - 1, 1)), -mids, np.ones(n - 1))
-        if activation_pattern(units, D.as_columns(), tol)[1]:
-            for j in range(n - 1):
-                unit = Params(np.ones((1, 1)), -mids[j : j + 1], np.ones(1))
-                if activation_pattern(unit, D.as_columns(), tol)[1]:
-                    raise InputError(f"points {float(x[j])!r} and {float(x[j + 1])!r} are too close to separate strictly")
+        units = np.ones((n - 1, 1, 1))
+        offsets = -0.5 * (x[:-1] + x[1:])[:, None]
+        X = D.as_columns()
+        too_close = np.flatnonzero(on_boundary(units, offsets, X, units @ X + offsets[..., None], tol))
+        if too_close.size:
+            j = too_close[0]
+            raise InputError(f"points {float(x[j])!r} and {float(x[j + 1])!r} are too close to separate strictly")
 
     # Key rows: one suffix row per (threshold, output sign).
     key: dict[tuple[int, int], int] = {}

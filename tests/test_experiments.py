@@ -12,6 +12,7 @@ from reluregions import (
     gen_gaussian_data,
     gen_labels,
     init_params,
+    jacobian_full_rank,
     loss,
     region_global_min_report,
     run_globalmin_grid,
@@ -143,24 +144,21 @@ def test_rank_grid_impossible_width_is_zero():
 
 
 def test_resample_budget_exhausted_raises(monkeypatch):
-    # Both grids consult one boundary rule, model.on_boundary: the rank grid's
-    # batched attempt 0 and every per-trial attempt go through it.  The rank
-    # grid draws attempt 0 twice (batched, then redone per trial), so attempts
-    # are counted as distinct preactivation draws.
-    attempts = set()
+    # Both grids consult one boundary rule, model.on_boundary, once per
+    # stacked round; every attempt of every trial is drawn exactly once.
+    draws = []
 
     def always_degenerate(W, b, X, pre, tol):
-        for draw in pre.reshape(-1, *pre.shape[-2:]):
-            attempts.add(draw.tobytes())
+        draws.append(int(np.prod(pre.shape[:-2])))
         return np.ones(pre.shape[:-2], dtype=bool)
 
     monkeypatch.setattr(model, "on_boundary", always_degenerate)
     cfg = ExperimentConfig(n_values=(3,), d1_values=(2,), trials=1, seed=4)
     for run in (run_rank_grid, run_globalmin_grid):
-        attempts.clear()
+        draws.clear()
         with pytest.raises(InvariantViolation, match="resample budget"):
             run(cfg)
-        assert len(attempts) == MAX_RESAMPLE
+        assert sum(draws) == MAX_RESAMPLE
 
 
 def test_rank_grid_high_dimension_saturates():
@@ -259,6 +257,39 @@ def test_read_grid_csv_rejects_garbage(tmp_path):
         read_grid_csv(path)
 
 
+def _reference_draws(cfg, cell, ci, t, labels):
+    """(pattern, X, y, params, attempt) of one trial, drawn by the public single-draw API.
+
+    Attempt ``a`` of trial ``t`` draws from its own generator, seeded by
+    (seed, cell index, trial index, attempt): the data (cube data and then
+    targets when ``labels``, else Gaussian data), then the first layer.  A
+    draw on a region boundary is drawn again at the next attempt.
+    """
+    n, d0, d1 = cell
+    for attempt in range(MAX_RESAMPLE):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, ci, t, attempt)))
+        if labels:
+            X = gen_cube_data(d0, n, rng)
+            y = gen_labels(cfg.labels, X, rng, d1=d1, init=cfg.init, bias=cfg.bias)
+        else:
+            X, y = gen_gaussian_data(d0, n, rng), None
+        params = init_params(cfg.init, d0, d1, rng, bias=cfg.bias)
+        pattern, degenerate = activation_pattern(params, X, cfg.tol)
+        if not degenerate:
+            return pattern, X, y, params, attempt
+    raise AssertionError("reference exhausted the resample budget")
+
+
+def _rank_reference(cfg, cell, ci, t):
+    pattern, X, _, _, attempt = _reference_draws(cfg, cell, ci, t, labels=False)
+    return jacobian_full_rank(pattern, X, cfg.tol), attempt
+
+
+def _globalmin_reference(cfg, cell, ci, t):
+    pattern, X, y, params, attempt = _reference_draws(cfg, cell, ci, t, labels=True)
+    return region_global_min_report(pattern, X, y, params.v, tol=cfg.tol).contains_zero_loss, attempt
+
+
 @pytest.mark.parametrize("bias", [True, False])
 @pytest.mark.parametrize("init", ["sqrtd1", "he"])
 @pytest.mark.parametrize("d0_rule", ["1", "n"])
@@ -280,7 +311,7 @@ def test_rank_block_matches_per_trial_loop(monkeypatch, bias, init, d0_rule, lp_
     )
     resamples = 0
     for ci, cell in enumerate(cfg.cells()):
-        expected = [experiments._rank_trial(cfg, cell, ci, t) for t in range(cfg.trials)]
+        expected = [_rank_reference(cfg, cell, ci, t) for t in range(cfg.trials)]
         resamples += sum(extra for _, extra in expected)
         assert experiments._rank_block(cfg, cell, ci, range(cfg.trials)) == expected
         assert experiments._rank_block(cfg, cell, ci, range(7, 19)) == expected[7:19]
@@ -289,16 +320,44 @@ def test_rank_block_matches_per_trial_loop(monkeypatch, bias, init, d0_rule, lp_
     assert (resamples > 0) == (strict and (bias or d0_rule == "n"))
     default = grid_csv_text(run_rank_grid(cfg))
     monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 1)
-    assert all(experiments._rank_block_size(cfg, cell) == 1 for cell in cfg.cells())
+    assert all(experiments._block_size(cfg, cell) == 1 for cell in cfg.cells())
     assert grid_csv_text(run_rank_grid(cfg)) == default
+
+
+@pytest.mark.parametrize("labels", ["random", "poly:2", "teacher"])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("lp_tol", [None, 0.05])
+def test_globalmin_block_matches_per_trial_loop(labels, bias, lp_tol):
+    strict = lp_tol is not None
+    cfg = ExperimentConfig(
+        n_values=(3, 5),
+        d1_values=(2, 7),
+        d0_rule="n/2",
+        trials=12,
+        seed=len(labels) + 10 * bias + 100 * strict,
+        labels=labels,
+        init="he",
+        bias=bias,
+        tol=Tol(lp_tol=lp_tol) if strict else Tol(),
+    )
+    resamples = 0
+    verdicts = set()
+    for ci, cell in enumerate(cfg.cells()):
+        expected = [_globalmin_reference(cfg, cell, ci, t) for t in range(cfg.trials)]
+        resamples += sum(extra for _, extra in expected)
+        verdicts.update(ok for ok, _ in expected)
+        assert experiments._globalmin_block(cfg, cell, ci, range(cfg.trials)) == expected
+        assert experiments._globalmin_block(cfg, cell, ci, range(4, 9)) == expected[4:9]
+    assert (resamples > 0) == strict
+    assert verdicts == {True, False}
 
 
 def test_rank_block_size_bounds_stacked_jacobians():
     cfg = ExperimentConfig(n_values=(30,), d1_values=(400,), d0_rule="2n", trials=1000)
-    assert experiments._rank_block_size(cfg, cfg.cells()[0]) == 1
+    assert experiments._block_size(cfg, cfg.cells()[0]) == 1
     c8 = ExperimentConfig(n_values=(16,), d1_values=(10,), d0_rule="n", trials=1000)
     n, d0, d1 = cell = c8.cells()[0]
-    size = experiments._rank_block_size(c8, cell)
+    size = experiments._block_size(c8, cell)
     assert 1 < size < c8.trials
     assert size * d1 * (d0 + 1) * n <= experiments._BLOCK_ENTRIES
 

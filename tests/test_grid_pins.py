@@ -1,9 +1,10 @@
 """Byte pins of rank-grid and globalmin-grid CSVs.
 
 Each rank-grid sha256 below was recorded with the per-trial rank grid (one
-SVD per trial), before trials were decided in stacked blocks; each
-globalmin-grid sha256 with the per-trial globalmin loop.  The grids must
-reproduce every byte: same draws, same decisions, same resample counts.
+SVD per trial), and each globalmin-grid sha256 with the per-trial globalmin
+loop, before both grids drew their trials through one stacked
+draw-and-resample path.  The grids must reproduce every byte: same draws,
+same decisions, same resample counts.
 """
 
 import hashlib

@@ -262,6 +262,11 @@ def test_fit_exact_rejects_points_too_close_to_separate():
         fit_exact_1d(A, Sorted1D.from_values([-0.5, 0.1, 0.1 + 1e-7, 0.7], y), v)
     D = Sorted1D.from_values([-0.5, 0.1, 0.1 + 3e-7, 0.7], y)
     _assert_exact_fit(fit_exact_1d(A, D, v), A, D)
+    # Two too-close pairs: the message names the first one.
+    D = Sorted1D.from_values([-0.5, -0.5 + 1e-7, 0.1, 0.1 + 1e-7], y)
+    with pytest.raises(InputError, match="too close") as caught:
+        fit_exact_1d(A, D, v)
+    assert str(caught.value) == f"points {-0.5!r} and {-0.5 + 1e-7!r} are too close to separate strictly"
 
 
 def test_coupon_bound_examples():

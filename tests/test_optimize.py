@@ -301,7 +301,7 @@ def _c10_region(seed, trial):
     cfg = _c10_config(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "region_global_min_report", recording)
-        experiments._globalmin_trial(cfg, cfg.cells()[0], 0, trial)
+        experiments._globalmin_block(cfg, cfg.cells()[0], 0, range(trial, trial + 1))
     return seen[-1]
 
 
@@ -321,7 +321,7 @@ def test_c10_verdicts_and_witnesses_pinned(monkeypatch):
     digest = hashlib.sha256()
     yes = 0
     for trial in range(50):
-        ok, attempt = experiments._globalmin_trial(cfg, cfg.cells()[0], 0, trial)
+        [(ok, attempt)] = experiments._globalmin_block(cfg, cfg.cells()[0], 0, range(trial, trial + 1))
         report = reports[-1]
         yes += ok
         digest.update(bytes([ok, attempt]))
@@ -344,8 +344,8 @@ HARD_C10_SEEDS = (300715, 303914, 21600215)
 def test_hard_c10_trial_decided_quickly(seed):
     cfg = _c10_config(seed)
     start = time.perf_counter()
-    outcome = experiments._globalmin_trial(cfg, cfg.cells()[0], 0, 1)
-    assert outcome == (True, 0)
+    outcome = experiments._globalmin_block(cfg, cfg.cells()[0], 0, range(1, 2))
+    assert outcome == [(True, 0)]
     assert time.perf_counter() - start < 2.0
 
 

@@ -1,0 +1,46 @@
+"""A traced benchmark run of the globalmin grid ends in a valid result line.
+
+``perfbench/run.py`` prints one JSON object as its last line of standard
+output, with the record before it.  A run that exits 0 but whose last line
+is not such an object (a traceback, a stray print, a NaN metric) gives no
+result at all, so a change to the grid driver it wraps is checked end to end
+here: about 6 s of one traced ``globalmin-c10`` run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
+
+
+def _strict_json(line: str):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_traced_globalmin_run_prints_a_result():
+    if not RUN.is_file():
+        pytest.skip("perfbench/run.py is not in this checkout")
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "globalmin-c10", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) >= 2, proc.stdout[-2000:]
+    result = _strict_json(lines[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert all(m["value"] is not None for m in result["metrics"].values())
+    record = _strict_json(lines[-2])["record"]
+    assert record["witnesses_checked"] > 0
