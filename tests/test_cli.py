@@ -171,3 +171,15 @@ def test_enumerate_regions_output_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2eb9d2b1b60df74048f7c492ebc435119f9f14752ac810409a6f0014af0f1520"
     )
+
+
+def test_enumerate_regions_1d_fast_path_output_pinned(capsys):
+    # Pinned stdout of the sorted 1-d fast path with a bias: the 2n = 16
+    # one-switch patterns, scattered into data order.
+    code = main(["enumerate-regions", "--d0", "1", "--n", "8", "--bias", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-1] == "feasible unit patterns: 16 (general position; counting law gives 16)"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "48e4a921bd181f6ce96f3d045bc0006b034a5a5810537c39265e1cda1321753b"
+    )

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from reluregions import (
     witness_params_1d,
 )
 from reluregions.errors import InputError
+from reluregions.linalg import DEFAULT_TOL
 from reluregions.onedim import StepVector
 
 RNG = np.random.default_rng(2024)
@@ -308,3 +311,142 @@ def test_classify_step_rows_mixed():
     assert (kinds[0].k, kinds[0].variant) == (2, 1)
     assert kinds[1] is None
     assert (kinds[2].k, kinds[2].variant) == (1, 0)
+
+
+# Per-row reference classification, kept here as an oracle for the
+# package's whole-matrix pass: a 0/1 row is a step vector when it switches
+# at most once, and its canonical code is (1, value) when constant and
+# (index after the switch, value after the switch) otherwise.
+def _reference_code(row):
+    r = np.asarray(row).astype(int)
+    changes = np.nonzero(r[1:] != r[:-1])[0]
+    if changes.size == 0:
+        return 1, int(r[0])
+    if changes.size > 1:
+        return None
+    return int(changes[0]) + 2, 1 - int(r[0])
+
+
+def _reference_diverse(M):
+    codes = [_reference_code(row) for row in M]
+    if any(c is None for c in codes):
+        return False
+    return (1, 1) in codes and {k for k, _ in codes} >= set(range(1, M.shape[1] + 1))
+
+
+def _reference_complete(M, v):
+    codes = [_reference_code(row) for row in M]
+    if any(c is None for c in codes):
+        return False
+    seen = {(k, vi > 0) for (k, variant), vi in zip(codes, v) if variant == 1}
+    return all((k, sign) in seen for k in range(1, M.shape[1] + 1) for sign in (True, False))
+
+
+def _assert_matches_reference(M, v):
+    kinds = classify_step_rows(M)
+    assert len(kinds) == M.shape[0]
+    for row, sv in zip(M, kinds):
+        ref = _reference_code(row)
+        assert (None if sv is None else (sv.k, sv.variant)) == ref
+        assert (None if sv is None else sv.n) in (None, M.shape[1])
+        single = classify_step_row(row)
+        assert (None if single is None else (single.k, single.variant, single.n)) == (
+            None if sv is None else (sv.k, sv.variant, sv.n)
+        )
+    assert is_diverse(M) == _reference_diverse(M)
+    assert is_complete(M, v) == _reference_complete(M, v)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_classification_matches_reference_on_every_row(n):
+    M = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    v = np.where(np.arange(2**n) % 3 == 0, -1.0, 1.0)
+    _assert_matches_reference(M, v)
+    steps = np.stack([sv.values() for sv in all_step_vectors(n)])
+    assert sum(classify_step_row(row) is not None for row in M) == 2 * n
+    assert {tuple(row) for row in M if classify_step_row(row) is not None} == {tuple(row) for row in steps}
+
+
+def test_classification_matches_reference_on_random_matrices():
+    rng = np.random.default_rng(41)
+    for trial in range(400):
+        n = int(rng.integers(1, 9))
+        d1 = int(rng.integers(1, 4 * n + 3))
+        v = rng.choice([-1.0, 1.0], size=d1) * rng.uniform(0.5, 2.0, d1)
+        if trial % 4 == 0:
+            M = rng.integers(0, 2, size=(d1, n))
+        elif trial % 4 == 1:
+            M = sample_step_matrix(n, d1, rng)
+        else:
+            # Complete or nearly complete matrices, so both verdicts occur.
+            d1 = 2 * n + int(rng.integers(0, 2 * n + 1))
+            v = np.concatenate([np.ones(n), -np.ones(n), rng.choice([-1.0, 1.0], size=d1 - 2 * n)])
+            v = v[rng.permutation(d1)] * rng.uniform(0.5, 2.0, d1)
+            M = random_complete_step_matrix(n, v, rng)
+            if trial % 4 == 3:
+                M[int(rng.integers(0, d1))] = rng.integers(0, 2, size=n)
+        _assert_matches_reference(M, v)
+
+
+# Byte pins of 1-d fits and witnesses: the pattern, W and b bytes of every
+# call, recorded with the per-row classification of each function.
+def _exact_1d_pool(seed, n=30, d1=120, size=64):
+    """The exact-1d benchmark pool: complete patterns on well-spaced data."""
+    rng = np.random.default_rng(seed)
+    v = _alternating(d1)
+    min_gap = 10.0 * DEFAULT_TOL.lp_tol
+    pool = []
+    while len(pool) < size:
+        x = np.sort(rng.uniform(-1.0, 1.0, n))
+        if np.any(np.diff(x) < min_gap):
+            continue
+        data = Sorted1D.from_values(x, rng.uniform(-1.0, 1.0, n))
+        pool.append((random_complete_step_matrix(n, v, rng), data, v))
+    return pool
+
+
+def _random_complete_cases(count=300, seed=4242):
+    """Complete patterns for n in 1..11 under non-alternating output weights."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(1, 12))
+        pos = n + int(rng.integers(0, n + 1))
+        neg = n + int(rng.integers(0, n + 1))
+        v = np.concatenate([rng.uniform(0.25, 4.0, pos), -rng.uniform(0.25, 4.0, neg)])
+        v = v[rng.permutation(pos + neg)]
+        x = np.sort(rng.uniform(-1.0, 1.0, n))
+        if np.any(np.diff(x) < 10.0 * DEFAULT_TOL.lp_tol):
+            continue
+        data = Sorted1D.from_values(x, rng.uniform(-1.0, 1.0, n))
+        cases.append((random_complete_step_matrix(n, v, rng), data, v))
+    return cases
+
+
+PIN_CASES = {
+    "pool_107": lambda: _exact_1d_pool(107),
+    "pool_7": lambda: _exact_1d_pool(7),
+    "pool_3": lambda: _exact_1d_pool(3),
+    "random_complete": _random_complete_cases,
+}
+
+PINS = {
+    ("fit", "pool_107"): "00849108e24f4277af4622e4b0b758d03632de9e5cc9de3edb28bf6882dc24e5",
+    ("fit", "pool_7"): "4d49a0185877c8ac051a394db437d621e9cdee895d5e350feac6f397cf906fce",
+    ("fit", "pool_3"): "eaa55631192f5110bcdd2db4dc2709534d8dd600ef2a579fa5f5a02054caa544",
+    ("fit", "random_complete"): "469511f54447ded607940376c23822520c5e8807cf7339f3f5c43aed422f87b7",
+    ("witness", "pool_107"): "44bb21eeee7335b2bcaa8940ba9c133cc80a6b05cdc2484d45bcbcba5d09e0ba",
+    ("witness", "pool_7"): "5b7051333fb4a9d5fd5da3a9d76ef901e108113549750b1d7e01a42143fa810f",
+    ("witness", "pool_3"): "6c7f82dc2b36772fbe9fa8a16f1323a3672edeb73606830974169a7d0d48389f",
+    ("witness", "random_complete"): "8fddd41f827d01d31f4b2cc45986e9505a6ea52cbcd1b8643cfff8c6402ef368",
+}
+
+
+@pytest.mark.parametrize("kind, cases", sorted(PINS))
+def test_fit_and_witness_bytes_pinned(kind, cases):
+    construct = fit_exact_1d if kind == "fit" else witness_params_1d
+    digest = hashlib.sha256()
+    for A, data, v in PIN_CASES[cases]():
+        params = construct(A, data, v)
+        digest.update(A.astype(np.int8).tobytes() + params.W.tobytes() + params.b.tobytes())
+    assert digest.hexdigest() == PINS[(kind, cases)]
