@@ -9,7 +9,10 @@ therefore full rank; covering every suffix on both output-weight signs
 any target exactly.  ``fit_exact_1d`` performs that construction: slack
 units realize their rows canonically, and per threshold a hinge recursion
 interpolates the residual, each hinge being split across a positive/negative
-key pair so the pattern constraints stay strict.
+key pair so the pattern constraints stay strict.  Every function here reads
+a pattern through one array pass, ``_step_codes``, which validates it and
+gives each row its canonical (threshold, variant) code or marks it as not a
+step vector.
 """
 
 from __future__ import annotations
@@ -83,26 +86,37 @@ def step_vector(k: int, variant: int, n: int) -> np.ndarray:
     return StepVector(k, variant, n).values()
 
 
-def classify_step_row(row) -> StepVector | None:
-    """Canonical (k, variant) of a binary row, or None if not a step vector."""
-    r = np.asarray(row).astype(int)
-    n = r.shape[0]
-    if not np.all((r == 0) | (r == 1)):
+def _step_codes(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 0/1 pattern matrix and the canonical (k, variant) of every row.
+
+    One array pass: a row with no switch is constant, (1, its value); a row
+    with one switch has k one past its leading run and the variant of the
+    value after the switch; k = 0 marks a row that switches more than once.
+    """
+    M = np.asarray(A.A if isinstance(A, ActivationPattern) else A)
+    if M.ndim != 2 or M.shape[1] == 0:
+        raise InputError(f"a pattern must be a 2-d matrix with at least one column, got shape {M.shape}")
+    if not np.all((M == 0) | (M == 1)):
         raise InputError("row entries must be 0 or 1")
-    first = int(r[0])
-    changes = np.nonzero(r[1:] != r[:-1])[0]
-    if changes.size == 0:
-        return StepVector(1, first, n)
-    if changes.size > 1:
-        return None
-    k = int(changes[0]) + 2  # 1-based index of the first entry after the switch
-    return StepVector(k, 1 - first, n)
+    M = M.astype(np.int8, copy=False)
+    first = M[:, 0]
+    switches = np.count_nonzero(M[:, 1:] != M[:, :-1], axis=1)
+    lead = np.count_nonzero(M == first[:, None], axis=1)
+    k = np.where(switches == 0, 1, np.where(switches == 1, lead + 1, 0))
+    variant = np.where(switches == 0, first, 1 - first)
+    return M, k, variant
 
 
 def classify_step_rows(A) -> list:
     """Per-row classification of a pattern matrix (None marks non-step rows)."""
-    M = A.A if isinstance(A, ActivationPattern) else np.asarray(A)
-    return [classify_step_row(row) for row in M]
+    M, k, variant = _step_codes(A)
+    n = M.shape[1]
+    return [StepVector(ki, vi, n) if ki else None for ki, vi in zip(k.tolist(), variant.tolist())]
+
+
+def classify_step_row(row) -> StepVector | None:
+    """Canonical (k, variant) of a binary row, or None if not a step vector."""
+    return classify_step_rows(np.asarray(row)[None])[0]
 
 
 def all_step_vectors(n: int) -> list:
@@ -110,10 +124,16 @@ def all_step_vectors(n: int) -> list:
     return [StepVector(k, v, n) for v in (0, 1) for k in range(1, n + 1)]
 
 
+def _step_pool(n: int) -> np.ndarray:
+    """The rows of ``all_step_vectors(n)`` stacked: prefixes, then suffixes."""
+    i = np.arange(1, n + 1)
+    k = i[:, None]
+    return np.concatenate([i < k, i >= k]).astype(np.int8)
+
+
 def sample_step_matrix(n: int, d1: int, rng: np.random.Generator) -> np.ndarray:
     """Pattern matrix with rows drawn iid uniformly from the 2n step vectors."""
-    pool = np.stack([sv.values() for sv in all_step_vectors(n)])
-    return pool[rng.integers(0, 2 * n, size=d1)]
+    return _step_pool(n)[rng.integers(0, 2 * n, size=d1)]
 
 
 def random_complete_step_matrix(n: int, v, rng: np.random.Generator) -> np.ndarray:
@@ -124,15 +144,12 @@ def random_complete_step_matrix(n: int, v, rng: np.random.Generator) -> np.ndarr
     and n negative entries in v.
     """
     v = as_vector(v, name="v")
-    d1 = v.shape[0]
-    A = sample_step_matrix(n, d1, rng)
+    A = sample_step_matrix(n, v.shape[0], rng)
     for sign in (1, -1):
         idx = np.nonzero(np.sign(v) == sign)[0]
         if idx.shape[0] < n:
             raise InputError(f"need at least {n} output weights of sign {sign}")
-        chosen = rng.choice(idx, size=n, replace=False)
-        for k, i in enumerate(chosen, start=1):
-            A[i] = StepVector(k, 1, n).values()
+        A[rng.choice(idx, size=n, replace=False)] = _step_pool(n)[n:]
     return A
 
 
@@ -185,17 +202,26 @@ def is_diverse(A) -> bool:
     (complementing prefix rows against the ones row) and the suffix vectors
     form a basis.  Non-step rows make the matrix non-diverse by definition.
     """
-    kinds = classify_step_rows(A)
-    if any(sv is None for sv in kinds):
-        return False
-    n = kinds[0].n if kinds else 0
-    covered = set()
-    has_ones = False
-    for sv in kinds:
-        covered.add(sv.k)
-        if sv.k == 1 and sv.variant == 1:
-            has_ones = True
-    return has_ones and covered.issuperset(range(1, n + 1))
+    M, k, variant = _step_codes(A)
+    covered = np.zeros(M.shape[1] + 1, dtype=bool)
+    covered[k] = True
+    return bool(k.all() and covered[1:].all() and np.any((k == 1) & (variant == 1)))
+
+
+def _output_weights(v, d1: int) -> np.ndarray:
+    v = as_vector(v, name="v")
+    if np.any(v == 0.0):
+        raise InputError("all entries of v must be nonzero")
+    if v.shape[0] != d1:
+        raise InputError("v length must match the number of pattern rows")
+    return v
+
+
+def _complete(k: np.ndarray, variant: np.ndarray, v: np.ndarray, n: int) -> bool:
+    seen = np.zeros((2, n + 1), dtype=bool)
+    suffix = variant == 1
+    seen[(v[suffix] > 0).astype(int), k[suffix]] = True
+    return bool(k.all() and seen[:, 1:].all())
 
 
 def is_complete(A, v) -> bool:
@@ -205,40 +231,30 @@ def is_complete(A, v) -> bool:
     suffix vector with threshold k while its output weight carries that
     sign.  Matrices with non-step rows are not considered complete.
     """
-    v = as_vector(v, name="v")
-    if np.any(v == 0.0):
-        raise InputError("all entries of v must be nonzero")
-    kinds = classify_step_rows(A)
-    if len(kinds) != v.shape[0]:
-        raise InputError("v length must match the number of pattern rows")
-    if any(sv is None for sv in kinds):
-        return False
-    n = kinds[0].n if kinds else 0
-    seen = {(+1): set(), (-1): set()}
-    for sv, vi in zip(kinds, v):
-        if sv.variant == 1:
-            seen[1 if vi > 0 else -1].add(sv.k)
-    need = set(range(1, n + 1))
-    return seen[+1].issuperset(need) and seen[-1].issuperset(need)
+    M, k, variant = _step_codes(A)
+    return _complete(k, variant, _output_weights(v, M.shape[0]), M.shape[1])
 
 
-def _witness_row(sv: StepVector, x: np.ndarray) -> tuple[float, float]:
-    """Strict (w, b) witness for one canonical step row on sorted data.
+def _witness_rows(k: np.ndarray, variant: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict (w, b) witnesses for canonical step rows on sorted data.
 
     Constant rows push every preactivation past +-(|x|+1); a switching row
     at threshold k puts its zero crossing at the midpoint of the straddling
     data points.  The slope is +1 for suffix rows and -1 for prefix rows
     (the active side must sit where the row has ones).
     """
-    n = x.shape[0]
-    if sv.k == 1:
-        if sv.variant == 0:
-            return 1.0, -2.0 * abs(float(x[-1])) - 1.0
-        return 1.0, 2.0 * abs(float(x[0])) + 1.0
-    mid = 0.5 * (float(x[sv.k - 2]) + float(x[sv.k - 1]))
-    alpha = 1 - sv.variant  # value of the row before the switch
-    w = 1.0 - 2.0 * alpha
-    return w, -w * mid
+    constant = k == 1
+    w = np.where(constant, 1.0, 2.0 * variant - 1.0)
+    mid = 0.5 * (x[k - 2] + x[k - 1])
+    b = np.where(variant == 1, 2.0 * abs(x[0]) + 1.0, -2.0 * abs(x[-1]) - 1.0)
+    return w, np.where(constant, b, -w * mid)
+
+
+def _realizing(params: Params, M: np.ndarray, D: Sorted1D, tol: Tol, failure: str) -> Params:
+    realized, degenerate = activation_pattern(params, D.as_columns(), tol)
+    if degenerate or not np.array_equal(realized.A, M):
+        raise InvariantViolation(failure)
+    return params
 
 
 def witness_params_1d(A, D: Sorted1D, v=None, tol: Tol = DEFAULT_TOL) -> Params:
@@ -248,24 +264,17 @@ def witness_params_1d(A, D: Sorted1D, v=None, tol: Tol = DEFAULT_TOL) -> Params:
     exactly and non-degenerately; the deterministic per-row choice makes
     downstream runs reproducible.
     """
-    M = A.A if isinstance(A, ActivationPattern) else np.asarray(A)
+    M, k, variant = _step_codes(A)
     d1, n = M.shape
     if n != D.n:
         raise InputError(f"pattern has {n} columns but data has {D.n} points")
     if v is None:
         v = np.ones(d1)
-    w = np.empty(d1)
-    b = np.empty(d1)
-    for i, row in enumerate(M):
-        sv = classify_step_row(row)
-        if sv is None:
-            raise InputError(f"row {i} is not a step vector: {tuple(int(t) for t in row)}")
-        w[i], b[i] = _witness_row(sv, D.x)
-    params = Params(w[:, None], b, v)
-    realized, degenerate = activation_pattern(params, D.as_columns(), tol)
-    if degenerate or not np.array_equal(realized.A, M.astype(np.int8)):
-        raise InvariantViolation("witness construction failed its sign check")
-    return params
+    bad = np.flatnonzero(k == 0)
+    if bad.size:
+        raise InputError(f"row {bad[0]} is not a step vector: {tuple(M[bad[0]].tolist())}")
+    w, b = _witness_rows(k, variant, D.x)
+    return _realizing(Params(w[:, None], b, v), M, D, tol, "witness construction failed its sign check")
 
 
 def _hinge_eval(hinges, x: float) -> float:
@@ -286,18 +295,15 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
     contributions cancel exactly.  Raises ``InputError`` when two neighbours
     are too close for any unit switching between them to be non-degenerate.
     """
-    M = A.A if isinstance(A, ActivationPattern) else np.asarray(A)
-    v = as_vector(v, name="v")
+    M, k, variant = _step_codes(A)
     d1, n = M.shape
     if n != D.n:
         raise InputError(f"pattern has {n} columns but data has {D.n} points")
-    if v.shape[0] != d1:
-        raise InputError("v length must match the number of pattern rows")
-    kinds = classify_step_rows(M)
-    for i, sv in enumerate(kinds):
-        if sv is None:
-            raise InputError(f"row {i} is not a step vector")
-    if not is_complete(M, v):
+    v = _output_weights(v, d1)
+    bad = np.flatnonzero(k == 0)
+    if bad.size:
+        raise InputError(f"row {bad[0]} is not a step vector")
+    if not _complete(k, variant, v, n):
         raise InputError("pattern is not complete for the given output weights")
 
     x = D.x
@@ -314,62 +320,47 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
             j = too_close[0]
             raise InputError(f"points {float(x[j])!r} and {float(x[j + 1])!r} are too close to separate strictly")
 
-    # Key rows: one suffix row per (threshold, output sign).
-    key: dict[tuple[int, int], int] = {}
-    for i, sv in enumerate(kinds):
-        if sv.variant != 1:
-            continue
-        sign = 1 if v[i] > 0 else -1
-        if (sv.k, sign) not in key:
-            key[(sv.k, sign)] = i
-    key_rows = set(key.values())
+    # Key rows: the first suffix row per (threshold, output sign), so that
+    # key[t, 1] is the positive and key[t, 0] the negative row of threshold t.
+    suffix = np.flatnonzero(variant == 1)
+    codes, first = np.unique(2 * k[suffix] + (v[suffix] > 0), return_index=True)
+    key = np.zeros((n + 1, 2), dtype=int)
+    key.flat[codes] = suffix[first]
+    slack = np.setdiff1d(np.arange(d1), key[1:])
 
     w = np.zeros(d1)
     b = np.zeros(d1)
+    w[slack], b[slack] = _witness_rows(k[slack], variant[slack], x)
     slack_output = np.zeros(n)
-    for i in range(d1):
-        if i in key_rows:
-            continue
-        w[i], b[i] = _witness_row(kinds[i], x)
+    for i in slack:
         slack_output += v[i] * np.maximum(w[i] * x + b[i], 0.0)
     z = y - slack_output
 
-    # Hinge recursion: hinges[l] = (sign, w, b); sign 0 marks a canceling pair.
+    # Hinge recursion: hinges[l] = (sign, w, b); sign 0 marks a canceling pair
+    # of unit size.  The first hinge crosses zero at x0 - 1: a unit slope
+    # would cross at x0 - |delta|, degenerate at x0 for tiny delta.
     hinges: list[tuple[int, float, float]] = []
     for ell in range(n):
-        if ell == 0:
-            delta = float(z[0])
-            if delta != 0.0:
-                sgn = 1 if delta >= 0.0 else -1
-                # Crossing at x0 - 1, as in the delta = 0 case: a unit slope
-                # would cross at x0 - |delta|, degenerate at x0 for tiny delta.
-                hinges.append((sgn, abs(delta), abs(delta) * (1.0 - float(x[0]))))
-            else:
-                hinges.append((0, 1.0, 1.0 - float(x[0])))
-            continue
         xr = float(x[ell])
-        xl = float(x[ell - 1])
-        gap = xr - xl
         delta = float(z[ell]) - _hinge_eval(hinges, xr)
-        if delta != 0.0:
-            sgn = 1 if delta >= 0.0 else -1
-            hinges.append((sgn, 2.0 * abs(delta) / gap, -abs(delta) * (xr + xl) / gap))
+        sgn = int(np.sign(delta))
+        size = abs(delta) if sgn else 1.0
+        if ell == 0:
+            hinges.append((sgn, size, size * (1.0 - xr)))
         else:
-            hinges.append((0, 2.0 / gap, -(xr + xl) / gap))
+            xl = float(x[ell - 1])
+            gap = xr - xl
+            hinges.append((sgn, 2.0 * size / gap, -size * (xr + xl) / gap))
 
-    # Distribute hinge k-1 over the key pair for threshold k.
-    for k in range(1, n + 1):
-        sgn, hw, hb = hinges[k - 1]
-        for sign in (1, -1):
-            i = key[(k, sign)]
-            scale = 1.0 / abs(v[i]) if sgn == 0 else (3.0 + sgn * sign) / (2.0 * abs(v[i]))
-            w[i] = scale * hw
-            b[i] = scale * hb
+    # Distribute hinge t-1 over the key pair of threshold t.
+    sgn, hw, hb = np.array(hinges).T
+    for sign in (1, -1):
+        i = key[1:, int(sign > 0)]
+        scale = np.where(sgn == 0, 1.0 / abs(v[i]), (3.0 + sgn * sign) / (2.0 * abs(v[i])))
+        w[i] = scale * hw
+        b[i] = scale * hb
 
-    params = Params(w[:, None], b, v)
-    realized, degenerate = activation_pattern(params, D.as_columns(), tol)
-    if degenerate or not np.array_equal(realized.A, M.astype(np.int8)):
-        raise InvariantViolation("exact fit left the prescribed activation region")
+    params = _realizing(Params(w[:, None], b, v), M, D, tol, "exact fit left the prescribed activation region")
     residual = forward(params, D.as_columns()) - y
     fit_loss = 0.5 * float(residual @ residual)
     if fit_loss > tol.residual_tol * (1.0 + float(np.linalg.norm(y))):

@@ -26,6 +26,7 @@ from .exact import rational_rank
 from .linalg import DEFAULT_TOL, Tol, as_matrix, embed_ones, normalize_rows
 from .lp import lp_max_margin
 from .model import ActivationPattern
+from .onedim import _step_pool
 
 __all__ = [
     "UnitPattern",
@@ -150,14 +151,9 @@ def enumerate_feasible_unit_patterns(
     if use_fast_path and bias and X.shape[0] == 1:
         x = X[0]
         if len(set(x.tolist())) == n:
-            order = np.argsort(x, kind="stable")
-            patterns = set()
-            for k in range(n + 1):
-                prefix = np.zeros(n, dtype=int)
-                prefix[order[:k]] = 1  # unit active on the k smallest points
-                patterns.add(tuple(prefix))
-                patterns.add(tuple(1 - prefix))
-            return [UnitPattern(a, True) for a in sorted(patterns)]
+            patterns = np.empty((2 * n, n), dtype=np.int8)
+            patterns[:, np.argsort(x, kind="stable")] = _step_pool(n)  # pool column j is the j-th smallest point
+            return [UnitPattern(a, True) for a in sorted(map(tuple, patterns.tolist()))]
 
     return [UnitPattern(a, bias) for a, _ in _prefix_search(X, bias, tol)]
 

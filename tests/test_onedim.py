@@ -343,16 +343,12 @@ def _reference_complete(M, v):
 
 
 def _assert_matches_reference(M, v):
-    kinds = classify_step_rows(M)
-    assert len(kinds) == M.shape[0]
-    for row, sv in zip(M, kinds):
-        ref = _reference_code(row)
-        assert (None if sv is None else (sv.k, sv.variant)) == ref
-        assert (None if sv is None else sv.n) in (None, M.shape[1])
-        single = classify_step_row(row)
-        assert (None if single is None else (single.k, single.variant, single.n)) == (
-            None if sv is None else (sv.k, sv.variant, sv.n)
-        )
+    def codes(kinds):
+        return [None if sv is None else (sv.k, sv.variant, sv.n) for sv in kinds]
+
+    expected = [None if c is None else (*c, M.shape[1]) for c in map(_reference_code, M)]
+    assert codes(classify_step_rows(M)) == expected
+    assert codes(map(classify_step_row, M)) == expected
     assert is_diverse(M) == _reference_diverse(M)
     assert is_complete(M, v) == _reference_complete(M, v)
 
@@ -450,3 +446,38 @@ def test_fit_and_witness_bytes_pinned(kind, cases):
         params = construct(A, data, v)
         digest.update(A.astype(np.int8).tobytes() + params.W.tobytes() + params.b.tobytes())
     assert digest.hexdigest() == PINS[(kind, cases)]
+
+
+_D3 = Sorted1D.from_values([0.0, 1.0, 2.0], [0.5, -0.5, 0.25])
+PATTERN_FUNCTIONS = {
+    "classify_step_row": lambda M: classify_step_row(M[0]),
+    "classify_step_rows": classify_step_rows,
+    "is_diverse": is_diverse,
+    "is_complete": lambda M: is_complete(M, _alternating(len(M))),
+    "witness_params_1d": lambda M: witness_params_1d(M, _D3),
+    "fit_exact_1d": lambda M: fit_exact_1d(M, _D3, _alternating(len(M))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_FUNCTIONS))
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 3), (4, 0)])
+def test_malformed_patterns_raise_input_error(name, shape):
+    # classify_step_row takes one row, so it sees a 0-d, 2-d or empty row.
+    with pytest.raises(InputError, match="2-d matrix with at least one column"):
+        PATTERN_FUNCTIONS[name](np.zeros(shape, dtype=int))
+
+
+def test_pattern_entries_must_be_binary():
+    for name, call in PATTERN_FUNCTIONS.items():
+        with pytest.raises(InputError, match="0 or 1"):
+            call(np.array([[0, 2, 1], [1, 1, 1]]))
+
+
+def test_pattern_without_rows_is_neither_diverse_nor_complete():
+    empty = np.zeros((0, 3), dtype=int)
+    assert classify_step_rows(empty) == []
+    assert not is_diverse(empty)
+    assert not is_complete(empty, [])
+    with pytest.raises(InputError, match="not complete"):
+        fit_exact_1d(empty, _D3, [])
+    assert witness_params_1d(empty, _D3).d1 == 0

@@ -1,10 +1,12 @@
-"""A traced benchmark run of the globalmin grid ends in a valid result line.
+"""A traced benchmark run ends in a valid result line.
 
 ``perfbench/run.py`` prints one JSON object as its last line of standard
 output, with the record before it.  A run that exits 0 but whose last line
 is not such an object (a traceback, a stray print, a NaN metric) gives no
-result at all, so a change to the grid driver it wraps is checked end to end
-here: about 6 s of one traced ``globalmin-c10`` run.
+result at all, so the layers it wraps are checked end to end here: one
+traced run of ``globalmin-c10`` (the grid driver and the zero-loss report,
+about 6 s) and one of ``exact-1d`` (exact singularity and the 1-d fit,
+about 7 s).
 """
 
 import json
@@ -25,11 +27,12 @@ def _strict_json(line: str):
     return json.loads(line, parse_constant=reject)
 
 
-def test_traced_globalmin_run_prints_a_result():
+def _traced_run(workload: str) -> dict:
+    """The record of a 1 s traced run, after checking its result line."""
     if not RUN.is_file():
         pytest.skip("perfbench/run.py is not in this checkout")
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "globalmin-c10", "--seconds", "1", "--trace", "1"],
+        [sys.executable, str(RUN), "--workload", workload, "--seconds", "1", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -42,5 +45,12 @@ def test_traced_globalmin_run_prints_a_result():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert all(m["value"] is not None for m in result["metrics"].values())
-    record = _strict_json(lines[-2])["record"]
-    assert record["witnesses_checked"] > 0
+    return _strict_json(lines[-2])["record"]
+
+
+def test_traced_globalmin_run_prints_a_result():
+    assert _traced_run("globalmin-c10")["witnesses_checked"] > 0
+
+
+def test_traced_exact_1d_run_prints_a_result():
+    _traced_run("exact-1d")
