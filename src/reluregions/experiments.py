@@ -3,9 +3,15 @@
 Grids over (n, d1) estimate, per cell, either the probability that a random
 initialization lands in a region with full-rank Jacobian, or the probability
 that it lands in a region containing a zero-loss global minimum.  Each trial
-is a pure function of (config, cell index, trial index, attempt), with its
-generator seeded by a counter-based split of the master seed, so results are
-bit-reproducible regardless of worker count.
+is a pure function of (config, cell index, trial index, attempt): attempt
+``a`` of trial ``t`` in cell ``c`` draws from the generator that
+``np.random.default_rng(np.random.SeedSequence(entropy=(seed, c, t, a)))``
+would give, so results are bit-reproducible regardless of worker count.
+``_trial_rngs`` builds those generators for a block of trials in one pass:
+numpy mixes each trial's entropy words into its 4-word pool, one set of
+uint32 array operations turns every pool of the block into its PCG64 state
+(the output hash of ``SeedSequence.generate_state``, NumPy NEP 19), and each
+PCG64 starts from its preset state.
 
 Both grids draw through one path, ``_draw_block``.  Each round flags the
 pending draws of a block of a cell's trials with one ``stacked_patterns``
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -168,11 +175,22 @@ def _head(d1: int) -> np.ndarray:
 
 
 def _uniform_weights(scheme: str, d0: int, d1: int, rng: np.random.Generator, bias: bool):
-    """The (W, b) draw of ``init_params``, without validation or the head."""
+    """The (W, b) draw of ``init_params``, without validation or the head.
+
+    One uniform draw gives W (row-major) and then b: the same doubles in the
+    same order as drawing W and b by two calls.
+    """
     bound = 1.0 / sqrt(d1) if scheme == "sqrtd1" else sqrt(6.0 / d0)
-    W = rng.uniform(-bound, bound, (d1, d0))
-    b = rng.uniform(-bound, bound, d1) if bias else None
-    return W, b
+    flat = rng.uniform(-bound, bound, d1 * (d0 + bias))
+    return flat[: d1 * d0].reshape(d1, d0), flat[d1 * d0 :] if bias else None
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as a plain int (``operator.index``); floats, strings and the like raise InputError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -199,11 +217,14 @@ class ExperimentConfig:
             raise InputError(f"n values must lie in [1, {MAX_N}]")
         if min(d1_values) < 1 or max(d1_values) > MAX_D1:
             raise InputError(f"d1 values must lie in [1, {MAX_D1}]")
-        if self.trials < 1:
+        trials = _as_int(self.trials, "trials")
+        seed = _as_int(self.seed, "seed")
+        workers = _as_int(self.workers, "workers")
+        if trials < 1:
             raise InputError("trials must be at least 1")
-        if self.seed < 0:
+        if seed < 0:
             raise InputError("seed must be nonnegative")
-        if self.workers < 1:
+        if workers < 1:
             raise InputError("workers must be at least 1")
         if self.init not in INIT_SCHEMES:
             raise InputError(f"unknown init scheme {self.init!r}")
@@ -212,6 +233,9 @@ class ExperimentConfig:
             resolve_d0(self.d0_rule, n)
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "d1_values", d1_values)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "workers", workers)
 
     def cells(self) -> list:
         return [
@@ -239,36 +263,87 @@ class GridResult:
     cells: tuple
 
 
-def _trial_rng(cfg: ExperimentConfig, cell_index: int, trial_index: int, attempt: int):
-    seq = np.random.SeedSequence(entropy=(cfg.seed, cell_index, trial_index, attempt))
-    return np.random.default_rng(seq)
+# The output hash of numpy's SeedSequence.generate_state (NumPy NEP 19): state
+# word i of a 4-word pool p is x = (p[i % 4] ^ h_i) * h_(i+1) mod 2^32, then
+# x ^ (x >> 16), where h_i = INIT_B * MULT_B^i mod 2^32.  PCG64 takes 8 words.
+_STATE_HASH = [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)]
+_STATE_XOR = np.array(_STATE_HASH[:8], dtype=np.uint32)
+_STATE_MUL = np.array(_STATE_HASH[1:], dtype=np.uint32)
+
+
+def _uint32_words(x: int) -> list:
+    """Little-endian 32-bit words of a nonnegative int as SeedSequence coerces it ([0] for 0)."""
+    words = [x & 0xFFFFFFFF]
+    while x := x >> 32:
+        words.append(x & 0xFFFFFFFF)
+    return words
+
+
+class _PresetState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose PCG64 state is already computed.
+
+    PCG64 asks once for ``generate_state(4, np.uint64)`` and reads the
+    returned buffer directly, so ``state`` is a C-contiguous 4-word uint64 row.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _trial_rngs(cfg: ExperimentConfig, cell_index: int, trial_indices, attempt: int) -> list:
+    """Generators of ``attempt`` of each trial in ``trial_indices``, in one pass.
+
+    Each equals ``np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed,
+    cell_index, t, attempt)))``: numpy mixes the trial's entropy words (the
+    tuple's ints as SeedSequence coerces them) into its pool, and the pools of
+    the whole block are hashed into PCG64 states by a few uint32 operations.
+    """
+    head = _uint32_words(cfg.seed) + _uint32_words(cell_index)
+    tail = _uint32_words(attempt)
+    k = len(trial_indices)
+    state = np.empty((k, 2, 4), dtype=np.uint32)
+    for j, t in enumerate(trial_indices):
+        state[j] = np.random.SeedSequence(np.array(head + _uint32_words(t) + tail, dtype=np.uint32)).pool
+    state = state.reshape(k, 8)
+    state ^= _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> 16
+    rows = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in rows]
 
 
 def _draw_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range, labels: bool):
     """Stacked X, y (None unless ``labels``), patterns and kept attempts of a block's trials.
 
-    Attempt ``a`` of trial ``t`` draws its data (then targets, if ``labels``)
-    and its first layer from ``_trial_rng(cfg, cell_index, t, a)``.  Each
-    round flags every pending draw with one ``stacked_patterns`` call, and
+    Each round builds the generators of the pending trials' current attempt
+    with one ``_trial_rngs`` call (see the module docstring).  Attempt ``a``
+    of trial ``t`` draws its data (then targets, if ``labels``) and its first
+    layer from its own generator, written straight into the block's arrays.
+    One ``stacked_patterns`` call flags every pending draw of the round, and
     only the trials flagged on a boundary are drawn again.
     """
     n, d0, d1 = cell
     k = len(trials)
     X = np.empty((k, d0, n))
     y = np.empty((k, n)) if labels else None
+    W = np.empty((k, d1, d0))
+    b = np.empty((k, d1)) if cfg.bias else None
     A = np.empty((k, d1, n), dtype=np.int8)
     attempts = np.zeros(k, dtype=int)
     pending = np.arange(k)
     for attempt in range(MAX_RESAMPLE):
-        weights = []
-        for j in pending:
-            rng = _trial_rng(cfg, cell_index, trials[j], attempt)
+        rngs = _trial_rngs(cfg, cell_index, [trials[j] for j in pending], attempt)
+        for j, rng in zip(pending, rngs):
             X[j] = gen_cube_data(d0, n, rng) if labels else gen_gaussian_data(d0, n, rng)
             if labels:
                 y[j] = gen_labels(cfg.labels, X[j], rng, d1=d1, init=cfg.init, bias=cfg.bias)
-            weights.append(_uniform_weights(cfg.init, d0, d1, rng, cfg.bias))
-        W, b = zip(*weights)
-        A[pending], flagged = stacked_patterns(np.stack(W), np.stack(b) if cfg.bias else None, X[pending], cfg.tol)
+            W[j], b_j = _uniform_weights(cfg.init, d0, d1, rng, cfg.bias)
+            if b is not None:
+                b[j] = b_j
+        A[pending], flagged = stacked_patterns(W[pending], None if b is None else b[pending], X[pending], cfg.tol)
         attempts[pending] = attempt
         pending = pending[flagged]
         if not pending.size:
@@ -349,7 +424,8 @@ def run_singularity_study(dims, trials: int, seed: int) -> GridResult:
     Monte Carlo.  Reported through the common grid schema with d0 = 0 and
     n = d1 = matrix dimension.
     """
-    dims = [int(d) for d in dims]
+    dims = [_as_int(d, "each of dims") for d in dims]
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
     if not dims or min(dims) < 1:
         raise InputError("dims must be a nonempty list of positive integers")
     if trials < 1:

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -136,6 +137,19 @@ def test_config_validation():
         ExperimentConfig(n_values=(4,), d1_values=(2,), trials=0)
 
 
+def test_config_coerces_integer_fields():
+    cfg = ExperimentConfig(n_values=(4,), d1_values=(2,), trials=np.int64(3), seed=True, workers=np.uint8(2))
+    assert (cfg.trials, cfg.seed, cfg.workers) == (3, 1, 2)
+    assert all(type(v) is int for v in (cfg.trials, cfg.seed, cfg.workers))
+    assert grid_csv_text(run_rank_grid(cfg)) == grid_csv_text(
+        run_rank_grid(ExperimentConfig(n_values=(4,), d1_values=(2,), trials=3, seed=1, workers=2))
+    )
+    for name in ("trials", "seed", "workers"):
+        for bad in (1.0, "1", None):
+            with pytest.raises(InputError, match=name):
+                ExperimentConfig(n_values=(4,), d1_values=(2,), **{name: bad})
+
+
 def test_rank_grid_impossible_width_is_zero():
     # d1 * (d0 + 1) < n: rank can never reach n.
     cfg = ExperimentConfig(n_values=(6,), d1_values=(2,), d0_rule="1", trials=20, seed=1)
@@ -218,6 +232,12 @@ def test_singularity_validation():
         run_singularity_study([], trials=10, seed=0)
     with pytest.raises(InputError):
         run_singularity_study([2], trials=0, seed=0)
+    for dims, trials, seed in (((4.5,), 10, 0), (("4",), 10, 0), ((4,), 3.0, 0), ((4,), 10, 1.0)):
+        with pytest.raises(InputError):
+            run_singularity_study(dims, trials=trials, seed=seed)
+    assert run_singularity_study((np.int64(3),), trials=np.int32(50), seed=True) == run_singularity_study(
+        (3,), trials=50, seed=1
+    )
 
 
 def test_csv_layout_and_round_trip(tmp_path):
@@ -376,3 +396,47 @@ def test_grid_results_are_slotted(tmp_path):
     emit_outputs(result, csv_path=path)
     # Every value is a multiple of 1/8, so the CSV round trip is exact.
     assert read_grid_csv(path) == result
+
+
+# Trial indices of a block: 0 first, then ints of one, two and three 32-bit words.
+_TRIAL_INDICES = [0, 2**32 + 1, 1, 2**32 - 1, 2**64 + 1, 7, 2**32, 3, 12345, 2]
+_WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 + 1]
+
+
+def _first_draws(rng) -> bytes:
+    return rng.standard_normal(16).tobytes() + rng.uniform(size=16).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 10])
+def test_trial_rngs_match_tuple_seed_sequence(size):
+    trials = _TRIAL_INDICES[:size]
+    for seed, ci, attempt in itertools.product(_WORD_EDGES, repeat=3):
+        cfg = ExperimentConfig(n_values=(1,), d1_values=(1,), seed=seed)
+        rngs = experiments._trial_rngs(cfg, ci, trials, attempt)
+        assert len(rngs) == size
+        for t, rng in zip(trials, rngs):
+            seq = np.random.SeedSequence(entropy=(seed, ci, t, attempt))
+            state = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert state.tobytes() == seq.generate_state(4, np.uint64).tobytes()
+            assert _first_draws(rng) == _first_draws(np.random.default_rng(seq)), (seed, ci, t, attempt)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("scheme", ["sqrtd1", "he"])
+def test_uniform_weights_one_draw_matches_two_draws(scheme, bias):
+    d0, d1 = 3, 5
+    one = np.random.default_rng(17)
+    W, b = experiments._uniform_weights(scheme, d0, d1, one, bias)
+    two = np.random.default_rng(17)
+    bound = 1.0 / np.sqrt(d1) if scheme == "sqrtd1" else np.sqrt(6.0 / d0)
+    W_ref = two.uniform(-bound, bound, (d1, d0))
+    b_ref = two.uniform(-bound, bound, d1) if bias else None
+    assert W.shape == (d1, d0) and W.tobytes() == W_ref.tobytes()
+    if bias:
+        assert b.tobytes() == b_ref.tobytes()
+    else:
+        assert b is None
+    # Both leave the generator at the same place for the draws that follow.
+    assert one.random() == two.random()
+    p = init_params(scheme, d0, d1, np.random.default_rng(17), bias=bias)
+    assert p.W.tobytes() == W_ref.tobytes()

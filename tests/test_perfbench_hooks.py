@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from reluregions import experiments
+from reluregions.linalg import Tol
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -36,3 +39,30 @@ def test_traced_pass_measures_every_layer(tracer):
     with tracer.Tracer() as tr:
         pass
     assert not tr.missing
+
+
+@pytest.mark.parametrize("run", ["run_rank_grid", "run_globalmin_grid"])
+def test_grids_draw_through_hooked_datagen(monkeypatch, run):
+    """``experiments.datagen_ms`` times these module globals: one call each per drawn attempt."""
+    calls = {name: 0 for name in ("gen_gaussian_data", "gen_cube_data", "gen_labels")}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    # A strict boundary tolerance, so that many trials are drawn more than once.
+    cfg = experiments.ExperimentConfig(
+        n_values=(3, 4), d1_values=(2, 3), d0_rule="n", trials=20, seed=3, init="he", tol=Tol(lp_tol=0.05)
+    )
+    result = getattr(experiments, run)(cfg)
+    drawn = sum(c.trials + c.resamples for c in result.cells)
+    assert sum(c.resamples for c in result.cells) > 0
+    if run == "run_rank_grid":
+        assert calls == {"gen_gaussian_data": drawn, "gen_cube_data": 0, "gen_labels": 0}
+    else:
+        assert calls == {"gen_gaussian_data": 0, "gen_cube_data": drawn, "gen_labels": drawn}
