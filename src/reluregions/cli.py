@@ -16,6 +16,8 @@ import numpy as np
 from .errors import InputError, InvariantViolation
 from .experiments import (
     ExperimentConfig,
+    _head,
+    _write_text,
     emit_outputs,
     gen_gaussian_data,
     gen_labels,
@@ -42,6 +44,17 @@ class _Parser(argparse.ArgumentParser):
     # Usage mistakes are input errors (exit 1), not internal failures.
     def error(self, message):
         raise InputError(message)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a size: a positive integer, else a usage error (exit 1)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _add_grid_flags(p: argparse.ArgumentParser, default_init: str) -> None:
@@ -104,11 +117,7 @@ def _deliver(result, args) -> None:
 
 
 def _write_lines(path: str, lines: list) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}")
+    _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
 
 
@@ -154,7 +163,7 @@ def _cmd_fit_1d(args) -> int:
         x = np.sort(rng.uniform(-1.0, 1.0, args.n))
     y = gen_labels(args.labels, x[None, :], rng, d1=args.d1)
     data = Sorted1D.from_values(x, y)
-    v = np.where(np.arange(args.d1) % 2 == 0, 1.0, -1.0)
+    v = _head(args.d1)
     A = random_complete_step_matrix(args.n, v, rng)
     params = fit_exact_1d(A, data, v, _tol(args))
     fit = model_loss(params, Dataset(data.as_columns(), data.y))
@@ -217,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate-regions", help="list all feasible per-unit patterns")
     p.add_argument("--d0", default="1")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bias", dest="bias", action="store_true", default=False)
     p.add_argument("--no-bias", dest="bias", action="store_false")
@@ -226,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("fit-1d", help="exact zero-loss fit inside a random complete region")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--d1", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--labels", default="random")
     p.add_argument("--tol", type=float, default=None)
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polyline", help="vertices of the single-unit function-space polyline")
     p.add_argument("--x", default=None, help="comma-separated data values")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(run=_cmd_polyline)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import InputError, InvariantViolation
 from .exact import binary_matrix_is_singular
-from .linalg import Tol, as_matrix
+from .linalg import Tol, as_int, as_matrix
 from .model import (
     ActivationPattern,
     Params,
@@ -185,14 +184,6 @@ def _uniform_weights(scheme: str, d0: int, d1: int, rng: np.random.Generator, bi
     return flat[: d1 * d0].reshape(d1, d0), flat[d1 * d0 :] if bias else None
 
 
-def _as_int(value, name: str) -> int:
-    """``value`` as a plain int (``operator.index``); floats, strings and the like raise InputError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition plus sampling scheme for one Monte Carlo experiment."""
@@ -209,17 +200,17 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        n_values = tuple(int(n) for n in self.n_values)
-        d1_values = tuple(int(d) for d in self.d1_values)
+        n_values = tuple(as_int(n, "each n value") for n in self.n_values)
+        d1_values = tuple(as_int(d, "each d1 value") for d in self.d1_values)
         if not n_values or not d1_values:
             raise InputError("grid must contain at least one n and one d1 value")
         if min(n_values) < 1 or max(n_values) > MAX_N:
             raise InputError(f"n values must lie in [1, {MAX_N}]")
         if min(d1_values) < 1 or max(d1_values) > MAX_D1:
             raise InputError(f"d1 values must lie in [1, {MAX_D1}]")
-        trials = _as_int(self.trials, "trials")
-        seed = _as_int(self.seed, "seed")
-        workers = _as_int(self.workers, "workers")
+        trials = as_int(self.trials, "trials")
+        seed = as_int(self.seed, "seed")
+        workers = as_int(self.workers, "workers")
         if trials < 1:
             raise InputError("trials must be at least 1")
         if seed < 0:
@@ -424,8 +415,8 @@ def run_singularity_study(dims, trials: int, seed: int) -> GridResult:
     Monte Carlo.  Reported through the common grid schema with d0 = 0 and
     n = d1 = matrix dimension.
     """
-    dims = [_as_int(d, "each of dims") for d in dims]
-    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
+    dims = [as_int(d, "each of dims") for d in dims]
+    trials, seed = as_int(trials, "trials"), as_int(seed, "seed")
     if not dims or min(dims) < 1:
         raise InputError("dims must be a nonempty list of positive integers")
     if trials < 1:
@@ -568,10 +559,14 @@ def grid_svg_text(result: GridResult, cell_px: int = 28) -> str:
 def emit_outputs(result: GridResult, csv_path=None, svg_path=None) -> None:
     """Write the CSV and/or SVG artifacts; I/O errors carry the path."""
     for path, text in ((csv_path, grid_csv_text), (svg_path, grid_svg_text)):
-        if path is None:
-            continue
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text(result))
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}")
+        if path is not None:
+            _write_text(path, text(result))
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` with LF endings; I/O errors raise InputError carrying the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")

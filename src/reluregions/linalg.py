@@ -10,6 +10,7 @@ validation; their callers build those arrays from validated draws.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import InputError
 __all__ = [
     "Tol",
     "DEFAULT_TOL",
+    "as_int",
     "as_matrix",
     "as_vector",
     "embed_ones",
@@ -57,8 +59,22 @@ class Tol:
             if not (0.0 < value < 1.0):
                 raise InputError(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
+    def misses(self, residual: float, y: np.ndarray) -> bool:
+        """Whether a fit with residual norm ``residual`` on targets ``y`` is not exact (not zero loss)."""
+        return residual > self.residual_tol * (1.0 + float(np.linalg.norm(y)))
+
 
 DEFAULT_TOL = Tol()
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as a plain int (``operator.index``); bools, floats, strings and the like raise InputError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def as_matrix(M, *, name: str = "matrix") -> np.ndarray:

@@ -9,6 +9,13 @@ point.  On such a cone the network output is linear in the parameters and
 its Jacobian is the columnwise Kronecker product of the (v-scaled) pattern
 columns with the (bias-embedded) input columns (``optimize.design_matrix``).
 
+Each input contract is checked in one place.  ``checked_head`` owns the
+head: finite, one entry per unit, no zero entry.  ``PatternOnData.lift``
+owns a pattern on data: the pattern has the expected type, ``X`` is a
+finite matrix with one column per pattern column, and its columns are lifted
+to (x, 1) when the pattern carries a bias flag.  ``ActivationPattern`` and
+``regions.UnitPattern`` share it.
+
 ``activation_pattern`` and ``jacobian_full_rank`` validate one draw;
 ``stacked_patterns`` and ``stacked_jacobian_ranks`` apply the same rules
 (``on_boundary``, the Khatri-Rao layout, ``linalg._rank``) to arrays with
@@ -37,7 +44,9 @@ from .linalg import (
 __all__ = [
     "Dataset",
     "Params",
+    "PatternOnData",
     "ActivationPattern",
+    "checked_head",
     "forward",
     "loss",
     "on_boundary",
@@ -74,12 +83,25 @@ class Dataset:
         return self.X.shape[1]
 
 
+def checked_head(v, d1: int) -> np.ndarray:
+    """The output head ``v`` of ``d1`` units as a float vector: finite, one entry per unit, none zero.
+
+    A zero output weight would silently delete a unit and break the rank
+    arguments downstream.
+    """
+    v = as_vector(v, name="v")
+    if v.shape[0] != d1:
+        raise InputError(f"v has length {v.shape[0]} but there are {d1} units")
+    if np.any(v == 0.0):
+        raise InputError("all entries of v must be nonzero")
+    return v
+
+
 @dataclass(frozen=True)
 class Params:
     """First-layer weights W (d1 x d0), optional biases b, fixed head v.
 
-    Every entry of v must be nonzero; a zero output weight would silently
-    delete a unit and break the rank arguments downstream.
+    The head must pass ``checked_head`` against the rows of W.
     """
 
     W: np.ndarray
@@ -88,11 +110,7 @@ class Params:
 
     def __post_init__(self) -> None:
         W = as_matrix(self.W, name="W")
-        v = as_vector(self.v, name="v")
-        if v.shape[0] != W.shape[0]:
-            raise InputError(f"v has length {v.shape[0]} but W has {W.shape[0]} rows")
-        if np.any(v == 0.0):
-            raise InputError("all entries of v must be nonzero")
+        v = checked_head(self.v, W.shape[0])
         b = self.b
         if b is not None:
             b = as_vector(b, name="b")
@@ -115,12 +133,32 @@ class Params:
         return self.b is not None
 
 
+class PatternOnData:
+    """A pattern over the points of a dataset: ``n`` columns and a ``bias_flag``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def lift(cls, pattern, X) -> np.ndarray:
+        """The inputs ``X`` of ``pattern``, with each column x lifted to (x, 1) under a bias flag.
+
+        ``pattern`` must be an instance of ``cls`` and ``X`` a finite matrix
+        with one column per pattern column; anything else raises InputError.
+        """
+        if not isinstance(pattern, cls):
+            raise InputError(f"pattern must be of type {cls.__name__}, got {type(pattern).__name__}")
+        X = as_matrix(X, name="X")
+        if X.shape[1] != pattern.n:
+            raise InputError(f"X has {X.shape[1]} columns but the pattern has {pattern.n}")
+        return embed_ones(X) if pattern.bias_flag else X
+
+
 @dataclass(frozen=True)
-class ActivationPattern:
+class ActivationPattern(PatternOnData):
     """Binary unit-by-point activation matrix.
 
     ``bias_flag`` records whether the pattern refers to sign(w x + b) or to
-    sign(<w, x>); it decides whether inputs are bias-embedded downstream.
+    sign(<w, x>); it decides whether ``lift`` bias-embeds the inputs.
     """
 
     A: np.ndarray
@@ -220,10 +258,7 @@ def jacobian_full_rank(A: ActivationPattern, X, tol: Tol = DEFAULT_TOL) -> bool:
     differentiable critical point: any critical point there is a global
     minimum of the squared loss.
     """
-    X = as_matrix(X, name="X")
-    if X.shape[1] != A.n:
-        raise InputError(f"X has {X.shape[1]} columns but pattern has {A.n}")
-    Xh = embed_ones(X) if A.bias_flag else X
+    Xh = ActivationPattern.lift(A, X)
     return mat_rank(khatri_rao(A.A.astype(float), Xh), tol) == A.n
 
 

@@ -12,7 +12,8 @@ interpolates the residual, each hinge being split across a positive/negative
 key pair so the pattern constraints stay strict.  Every function here reads
 a pattern through one array pass, ``_step_codes``, which validates it and
 gives each row its canonical (threshold, variant) code or marks it as not a
-step vector.
+step vector; ``_step_codes_on`` adds the checks of a step pattern on sorted
+data.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .linalg import DEFAULT_TOL, Tol, as_vector
-from .model import ActivationPattern, Params, activation_pattern, forward, on_boundary
+from .linalg import DEFAULT_TOL, Tol, as_int, as_vector
+from .model import ActivationPattern, Params, activation_pattern, checked_head, forward, on_boundary
 
 __all__ = [
     "StepVector",
@@ -173,12 +174,13 @@ class Sorted1D:
             raise InputError("need at least one data point")
         if np.any(np.diff(x) <= 0.0):
             raise InputError("x must be strictly increasing (distinct points)")
-        perm = np.asarray(self.perm, dtype=int)
-        if perm.shape != x.shape or sorted(perm.tolist()) != list(range(x.shape[0])):
+        perm = np.asarray(self.perm)
+        entries = [as_int(i, "each entry of perm") for i in perm.ravel().tolist()]
+        if perm.shape != x.shape or sorted(entries) != list(range(x.shape[0])):
             raise InputError("perm must be a permutation of the data indices")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "perm", np.array(entries, dtype=int))
 
     @classmethod
     def from_values(cls, x, y) -> "Sorted1D":
@@ -208,15 +210,6 @@ def is_diverse(A) -> bool:
     return bool(k.all() and covered[1:].all() and np.any((k == 1) & (variant == 1)))
 
 
-def _output_weights(v, d1: int) -> np.ndarray:
-    v = as_vector(v, name="v")
-    if np.any(v == 0.0):
-        raise InputError("all entries of v must be nonzero")
-    if v.shape[0] != d1:
-        raise InputError("v length must match the number of pattern rows")
-    return v
-
-
 def _complete(k: np.ndarray, variant: np.ndarray, v: np.ndarray, n: int) -> bool:
     seen = np.zeros((2, n + 1), dtype=bool)
     suffix = variant == 1
@@ -232,7 +225,7 @@ def is_complete(A, v) -> bool:
     sign.  Matrices with non-step rows are not considered complete.
     """
     M, k, variant = _step_codes(A)
-    return _complete(k, variant, _output_weights(v, M.shape[0]), M.shape[1])
+    return _complete(k, variant, checked_head(v, M.shape[0]), M.shape[1])
 
 
 def _witness_rows(k: np.ndarray, variant: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,6 +243,17 @@ def _witness_rows(k: np.ndarray, variant: np.ndarray, x: np.ndarray) -> tuple[np
     return w, np.where(constant, b, -w * mid)
 
 
+def _step_codes_on(A, D: Sorted1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_step_codes`` of a pattern on sorted data: one column per point of ``D``, step rows only."""
+    M, k, variant = _step_codes(A)
+    if M.shape[1] != D.n:
+        raise InputError(f"pattern has {M.shape[1]} columns but data has {D.n} points")
+    bad = np.flatnonzero(k == 0)
+    if bad.size:
+        raise InputError(f"row {bad[0]} is not a step vector: {tuple(M[bad[0]].tolist())}")
+    return M, k, variant
+
+
 def _realizing(params: Params, M: np.ndarray, D: Sorted1D, tol: Tol, failure: str) -> Params:
     realized, degenerate = activation_pattern(params, D.as_columns(), tol)
     if degenerate or not np.array_equal(realized.A, M):
@@ -264,16 +268,9 @@ def witness_params_1d(A, D: Sorted1D, v=None, tol: Tol = DEFAULT_TOL) -> Params:
     exactly and non-degenerately; the deterministic per-row choice makes
     downstream runs reproducible.
     """
-    M, k, variant = _step_codes(A)
-    d1, n = M.shape
-    if n != D.n:
-        raise InputError(f"pattern has {n} columns but data has {D.n} points")
-    if v is None:
-        v = np.ones(d1)
-    bad = np.flatnonzero(k == 0)
-    if bad.size:
-        raise InputError(f"row {bad[0]} is not a step vector: {tuple(M[bad[0]].tolist())}")
+    M, k, variant = _step_codes_on(A, D)
     w, b = _witness_rows(k, variant, D.x)
+    v = np.ones(M.shape[0]) if v is None else v
     return _realizing(Params(w[:, None], b, v), M, D, tol, "witness construction failed its sign check")
 
 
@@ -295,14 +292,9 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
     contributions cancel exactly.  Raises ``InputError`` when two neighbours
     are too close for any unit switching between them to be non-degenerate.
     """
-    M, k, variant = _step_codes(A)
+    M, k, variant = _step_codes_on(A, D)
     d1, n = M.shape
-    if n != D.n:
-        raise InputError(f"pattern has {n} columns but data has {D.n} points")
-    v = _output_weights(v, d1)
-    bad = np.flatnonzero(k == 0)
-    if bad.size:
-        raise InputError(f"row {bad[0]} is not a step vector")
+    v = checked_head(v, d1)
     if not _complete(k, variant, v, n):
         raise InputError("pattern is not complete for the given output weights")
 
@@ -361,10 +353,9 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
         b[i] = scale * hb
 
     params = _realizing(Params(w[:, None], b, v), M, D, tol, "exact fit left the prescribed activation region")
-    residual = forward(params, D.as_columns()) - y
-    fit_loss = 0.5 * float(residual @ residual)
-    if fit_loss > tol.residual_tol * (1.0 + float(np.linalg.norm(y))):
-        raise InvariantViolation(f"exact fit missed its target: loss {fit_loss:.3e}")
+    residual = float(np.linalg.norm(forward(params, D.as_columns()) - y))
+    if tol.misses(residual, y):
+        raise InvariantViolation(f"exact fit missed its target: residual norm {residual:.3e}")
     return params
 
 

@@ -20,20 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
 from .linalg import (
     DEFAULT_TOL,
     Tol,
-    as_matrix,
     as_vector,
-    embed_ones,
     khatri_rao,
     least_squares_min_norm,
     normalize_rows,
     nullspace_basis,
 )
 from .lp import lp_max_margin
-from .model import ActivationPattern, Params
+from .model import ActivationPattern, Params, checked_head
 
 __all__ = [
     "RegionMinReport",
@@ -71,23 +68,14 @@ def design_matrix(A: ActivationPattern, X, v) -> np.ndarray:
     flattening: theta index (i, l) sits at column i * block + l, where block
     is d0 + 1 with bias and d0 without.
     """
-    if not isinstance(A, ActivationPattern):
-        raise InputError(f"pattern must be an ActivationPattern, got {type(A).__name__}")
-    X = as_matrix(X, name="X")
-    v = as_vector(v, name="v")
-    if X.shape[1] != A.n:
-        raise InputError(f"X has {X.shape[1]} columns but pattern has {A.n}")
-    if v.shape[0] != A.d1:
-        raise InputError(f"v has length {v.shape[0]} but pattern has {A.d1} rows")
-    if np.any(v == 0.0):
-        raise InputError("all entries of v must be nonzero")
-    Xh = embed_ones(X) if A.bias_flag else X
+    Xh = ActivationPattern.lift(A, X)
+    v = checked_head(v, A.d1)
     return khatri_rao(v[:, None] * A.A, Xh).T
 
 
 def _zero_loss_set(D: np.ndarray, y: np.ndarray, tol: Tol):
     particular, residual = least_squares_min_norm(D, y, tol)
-    if residual > tol.residual_tol * (1.0 + float(np.linalg.norm(y))):
+    if tol.misses(residual, y):
         return None
     return particular, nullspace_basis(D, tol)
 
@@ -130,23 +118,17 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
     why the quadratic objective is replaced by this exact affine-set +
     margin formulation.
     """
-    X = as_matrix(X, name="X")
+    Xh = ActivationPattern.lift(A, X)
     y = as_vector(y, name="y")
-    v = as_vector(v, name="v")
-    if not isinstance(A, ActivationPattern):
-        raise InputError(f"pattern must be an ActivationPattern, got {type(A).__name__}")
-    if v.shape[0] != A.d1:
-        raise InputError(f"v has length {v.shape[0]} but pattern has {A.d1} rows")
-    if np.any(v == 0.0):
-        raise InputError("all entries of v must be nonzero")
+    v = checked_head(v, A.d1)
     label, first = _unit_classes(A.A, v)
-    merged = ActivationPattern(A.A[first], A.bias_flag)
-    D = design_matrix(merged, X, np.sign(v[first]))
+    # The merged pattern reads the lifted inputs, so it carries no bias flag.
+    merged = ActivationPattern(A.A[first], bias_flag=False)
+    D = design_matrix(merged, Xh, np.sign(v[first]))
     found = _zero_loss_set(D, y, tol)
     if found is None:
         return RegionMinReport(False, None, None, float("-inf"))
     theta0, N = found
-    Xh = embed_ones(X) if A.bias_flag else X
     C, n = merged.A.shape
     block = Xh.shape[0]
     q = N.shape[1]

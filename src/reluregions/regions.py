@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import InputError
 from .exact import rational_rank
-from .linalg import DEFAULT_TOL, Tol, as_matrix, embed_ones, normalize_rows
+from .linalg import DEFAULT_TOL, Tol, as_int, as_matrix, embed_ones, normalize_rows
 from .lp import lp_max_margin
-from .model import ActivationPattern
+from .model import ActivationPattern, PatternOnData
 from .onedim import _step_pool
 
 __all__ = [
@@ -44,7 +44,7 @@ GENERAL_POSITION_MAX_N = 12
 
 
 @dataclass(frozen=True, slots=True)
-class UnitPattern:
+class UnitPattern(PatternOnData):
     """Activation indicator of a single unit over the dataset."""
 
     a: tuple
@@ -80,6 +80,7 @@ def count_regions_general_position(n: int, d: int, d1: int) -> int:
     Exact big-integer evaluation of ``(2 * sum_{k<d} C(n-1, k)) ** d1``; for
     n <= d this equals 2 ** (n * d1), every pattern being realizable.
     """
+    n, d, d1 = as_int(n, "n"), as_int(d, "d"), as_int(d1, "d1")
     if n < 1 or d < 1 or d1 < 1:
         raise InputError("n, d and d1 must all be at least 1")
     per_unit = 2 * sum(comb(n - 1, k) for k in range(d))
@@ -95,10 +96,7 @@ def unit_pattern_feasible(u: UnitPattern, X, tol: Tol = DEFAULT_TOL) -> Feasibil
     means margin strictly above ``lp_tol``: region membership is an open
     condition and boundary hits must not count.
     """
-    X = as_matrix(X, name="X")
-    if X.shape[1] != u.n:
-        raise InputError(f"X has {X.shape[1]} columns but pattern has length {u.n}")
-    Xh = embed_ones(X) if u.bias_flag else X
+    Xh = UnitPattern.lift(u, X)
     signs = 2.0 * np.asarray(u.a, dtype=float) - 1.0
     result = lp_max_margin(normalize_rows(signs[:, None] * Xh.T), cap=1.0)
     margin = result.t
@@ -116,13 +114,11 @@ def region_nonempty(A: ActivationPattern, X, tol: Tol = DEFAULT_TOL) -> bool:
     """Whether the full pattern matrix is realizable.
 
     Units have independent parameters, so the region is a product of
-    per-unit cones and is non-empty iff every row passes the unit LP.
+    per-unit cones and is non-empty iff every row passes the unit LP (on
+    the lifted inputs, so the rows carry no bias flag).
     """
-    X = as_matrix(X, name="X")
-    return all(
-        unit_pattern_feasible(UnitPattern(tuple(row), A.bias_flag), X, tol).feasible
-        for row in A.A
-    )
+    Xh = ActivationPattern.lift(A, X)
+    return all(unit_pattern_feasible(UnitPattern(tuple(row)), Xh, tol).feasible for row in A.A)
 
 
 def enumerate_feasible_unit_patterns(

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from reluregions.cli import main
 from reluregions.experiments import CSV_HEADER, gen_labels
@@ -133,6 +134,22 @@ def test_bad_arguments_exit_one(capsys):
     assert main(["singularity", "--dims", "2", "--trials", "0"]) == 1
     assert main(["enumerate-regions", "--d0", "n", "--n", "17"]) == 1  # 2^17 > 2^16 patterns
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate-regions", "--n", "-3"],
+        ["fit-1d", "--n", "-1", "--d1", "4"],
+        ["fit-1d", "--n", "2", "--d1", "0"],
+        ["polyline", "--n", "-1"],
+        ["polyline", "--n", "two"],
+    ],
+)
+def test_sizes_must_be_positive_integers(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --") and "expected a positive integer" in err
 
 
 def test_duplicate_x_rejected(capsys):

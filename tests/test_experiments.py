@@ -137,15 +137,25 @@ def test_config_validation():
         ExperimentConfig(n_values=(4,), d1_values=(2,), trials=0)
 
 
+@pytest.mark.parametrize("field", ["n_values", "d1_values"])
+@pytest.mark.parametrize("bad", [4.5, "5", True])
+def test_config_grid_values_must_be_integers(field, bad):
+    values = {"n_values": (4,), "d1_values": (2,)}
+    with pytest.raises(InputError, match=f"each {field[:-7]} value must be an integer"):
+        ExperimentConfig(**{**values, field: (bad,)})
+    cfg = ExperimentConfig(**{**values, field: (np.int64(3),)})
+    assert type(getattr(cfg, field)[0]) is int
+
+
 def test_config_coerces_integer_fields():
-    cfg = ExperimentConfig(n_values=(4,), d1_values=(2,), trials=np.int64(3), seed=True, workers=np.uint8(2))
+    cfg = ExperimentConfig(n_values=(4,), d1_values=(2,), trials=np.int64(3), seed=np.int16(1), workers=np.uint8(2))
     assert (cfg.trials, cfg.seed, cfg.workers) == (3, 1, 2)
     assert all(type(v) is int for v in (cfg.trials, cfg.seed, cfg.workers))
     assert grid_csv_text(run_rank_grid(cfg)) == grid_csv_text(
         run_rank_grid(ExperimentConfig(n_values=(4,), d1_values=(2,), trials=3, seed=1, workers=2))
     )
     for name in ("trials", "seed", "workers"):
-        for bad in (1.0, "1", None):
+        for bad in (1.0, "1", None, True):
             with pytest.raises(InputError, match=name):
                 ExperimentConfig(n_values=(4,), d1_values=(2,), **{name: bad})
 
@@ -232,10 +242,10 @@ def test_singularity_validation():
         run_singularity_study([], trials=10, seed=0)
     with pytest.raises(InputError):
         run_singularity_study([2], trials=0, seed=0)
-    for dims, trials, seed in (((4.5,), 10, 0), (("4",), 10, 0), ((4,), 3.0, 0), ((4,), 10, 1.0)):
+    for dims, trials, seed in (((4.5,), 10, 0), (("4",), 10, 0), ((4,), 3.0, 0), ((4,), 10, 1.0), ((4,), 10, True)):
         with pytest.raises(InputError):
             run_singularity_study(dims, trials=trials, seed=seed)
-    assert run_singularity_study((np.int64(3),), trials=np.int32(50), seed=True) == run_singularity_study(
+    assert run_singularity_study((np.int64(3),), trials=np.int32(50), seed=np.uint8(1)) == run_singularity_study(
         (3,), trials=50, seed=1
     )
 

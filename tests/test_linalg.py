@@ -12,7 +12,7 @@ from reluregions import (
     rational_rank,
 )
 from reluregions.errors import InputError
-from reluregions.linalg import stacked_khatri_rao, stacked_ranks
+from reluregions.linalg import as_int, stacked_khatri_rao, stacked_ranks
 
 
 def test_mat_rank_identity():
@@ -185,3 +185,11 @@ def test_stacked_khatri_rao_matches_per_pair():
     assert K.shape == (5, 12, 6)
     for k in range(5):
         assert np.array_equal(K[k], khatri_rao(A[k], X[k]))
+
+
+def test_as_int_takes_integers_only():
+    assert [as_int(v, "k") for v in (3, np.int64(-4), np.uint8(2))] == [3, -4, 2]
+    assert all(type(as_int(v, "k")) is int for v in (np.int32(1), 7))
+    for bad in (4.5, 4.0, np.float64(1.0), "5", None, True, np.True_):
+        with pytest.raises(InputError, match="k must be an integer"):
+            as_int(bad, "k")

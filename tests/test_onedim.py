@@ -25,7 +25,8 @@ from reluregions import (
     width_thresholds,
     witness_params_1d,
 )
-from reluregions.errors import InputError
+from reluregions import onedim
+from reluregions.errors import InputError, InvariantViolation
 from reluregions.linalg import DEFAULT_TOL
 from reluregions.onedim import StepVector
 
@@ -168,6 +169,27 @@ def test_witness_rejects_non_step():
     D = Sorted1D.from_values([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
     with pytest.raises(InputError):
         witness_params_1d(np.array([[1, 0, 1]]), D)
+
+
+def test_sorted1d_perm_must_be_integers():
+    with pytest.raises(InputError, match="perm must be an integer"):
+        Sorted1D([0.0, 1.0], [0.0, 0.0], [0.6, 1.3])
+    with pytest.raises(InputError, match="perm must be an integer"):
+        Sorted1D([0.0, 1.0], [0.0, 0.0], [0.0, 1.0])
+    assert Sorted1D([0.0, 1.0], [0.0, 0.0], np.array([0, 1], dtype=np.uint8)).perm.tolist() == [0, 1]
+
+
+def test_fit_self_check_bounds_the_residual_norm(monkeypatch):
+    # An output off by 1e-6 at one point: loss 5e-13 is below the bound
+    # residual_tol * (1 + |y|), the residual norm 1e-6 is above it.
+    data = Sorted1D.from_values([0.0, 1.0, 2.0], [0.5, -0.5, 0.25])
+    v = _alternating(6)
+    A = np.array([[1, 1, 1], [1, 1, 1], [0, 1, 1], [0, 1, 1], [0, 0, 1], [0, 0, 1]])
+    fit_exact_1d(A, data, v)
+    exact_forward = onedim.forward
+    monkeypatch.setattr(onedim, "forward", lambda p, X: exact_forward(p, X) + np.array([1e-6, 0.0, 0.0]))
+    with pytest.raises(InvariantViolation, match="residual norm"):
+        fit_exact_1d(A, data, v)
 
 
 def test_sorted1d_rejects_duplicates():

@@ -63,6 +63,10 @@ def test_count_formula_saturates_at_two_power():
 def test_count_formula_validation():
     with pytest.raises(InputError):
         count_regions_general_position(0, 1, 1)
+    for args in ((2.5, 1, 1), (3, "2", 1), (3, 2, True)):
+        with pytest.raises(InputError, match="must be an integer"):
+            count_regions_general_position(*args)
+    assert count_regions_general_position(np.int64(3), np.int8(2), 1) == 6
 
 
 def test_all_zero_pattern_feasible_with_bias():
