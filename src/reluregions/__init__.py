@@ -34,7 +34,7 @@ from .linalg import (
     normalize_rows,
     nullspace_basis,
 )
-from .lp import MarginResult, kernel_backend, lp_max_margin
+from .lp import MarginResult, kernel_backend, lp_max_margin, lp_positive_null
 from .model import (
     ActivationPattern,
     Dataset,

@@ -103,12 +103,12 @@ def resolve_d0(rule: str, n: int) -> int:
 
 def gen_gaussian_data(d0: int, n: int, seed) -> np.ndarray:
     """d0 x n matrix of iid standard normal entries, almost surely distinct columns."""
-    return _rng(seed).standard_normal((d0, n))
+    return _rng(seed).standard_normal((as_int(d0, "d0"), as_int(n, "n")))
 
 
 def gen_cube_data(d0: int, n: int, seed) -> np.ndarray:
     """d0 x n matrix of iid uniform entries on [-1, 1], almost surely distinct columns."""
-    return _rng(seed).uniform(-1.0, 1.0, (d0, n))
+    return _rng(seed).uniform(-1.0, 1.0, (as_int(d0, "d0"), as_int(n, "n")))
 
 
 def parse_labels_kind(kind: str) -> tuple[str, int | None]:
@@ -165,6 +165,7 @@ def init_params(scheme: str, d0: int, d1: int, seed, bias: bool = True) -> Param
     """
     if scheme not in INIT_SCHEMES:
         raise InputError(f"unknown init scheme {scheme!r}; expected one of {INIT_SCHEMES}")
+    d0, d1 = as_int(d0, "d0"), as_int(d1, "d1")
     W, b = _uniform_weights(scheme, d0, d1, _rng(seed), bias)
     return Params(W, b, _head(d1))
 

@@ -1,6 +1,6 @@
 """Dense primal simplex for margin maximization.
 
-Solves
+``lp_max_margin`` solves
 
     maximize t  subject to  G u >= t * 1,  t <= cap
 
@@ -9,6 +9,19 @@ t = 0), and the simplex starts from that point with every slack basic, so it
 needs no phase 1.  A positive optimum certifies a strictly feasible point of
 ``G u > 0``, which is how the package certifies membership in open
 polyhedral regions; the cone is scale-free, so that optimum is ``cap``.
+
+``lp_positive_null`` solves the equality form of the same question,
+
+    maximize t  subject to  K z = 0,  z >= t * 1,  t <= cap,
+
+whose positive optimum certifies a strictly positive point of the null
+space of K (Stiemke's lemma gives the alternative).  It has one row per
+independent row of K, not one per inequality.  Its right-hand side is
+zero, so any nonsingular choice of columns is a feasible start basis (a
+crash basis, Bixby 1992): Gauss-Jordan elimination with partial pivoting
+picks one, drops the dependent rows of K, and the simplex starts there
+without a phase 1.  ``t`` is kept nonnegative, which loses nothing since
+z = 0 is feasible.
 
 The objective is bounded by construction (t <= cap), so a kernel report of
 "unbounded" can only mean a numerically null improving column slipped past
@@ -51,7 +64,7 @@ import numpy as np
 from .errors import InputError, InvariantViolation
 from .linalg import as_matrix
 
-__all__ = ["MarginResult", "lp_max_margin", "kernel_backend"]
+__all__ = ["MarginResult", "lp_max_margin", "lp_positive_null", "kernel_backend"]
 
 _PRICE_EPS = 1e-9  # reduced-cost threshold; escalated on numerical trouble
 _PIVOT_TOL = 1e-8  # ratio-test eligibility: smaller pivots amplify roundoff
@@ -178,10 +191,53 @@ def _tableau(G, cap):
     return T, np.arange(tp + 2, tp + 3 + m), np.arange(tp + 2)
 
 
-def _solve_once(G, cap, eps):
-    k = G.shape[1]
-    T, basis, nonbasic = _tableau(G, cap)
+def _null_tableau(K, cap):
+    """Condensed start tableau of the positive-null LP on a crash basis, with its basis and nonbasic maps."""
+    n, p = K.shape
 
+    # Gauss-Jordan elimination, one column at a time: a column becomes basic
+    # on the free row where it is largest, unless that entry is negligible
+    # against K.  Each pivot row then reads s_B + B^-1 N s_N = 0, and rows
+    # that never pivot are dependent and dropped.
+    R = K.copy()
+    free = np.ones(n, dtype=bool)
+    rows, basic = [], []
+    floor = _PIVOT_TOL * np.abs(K).max(initial=0.0)
+    for j in range(p):
+        if len(rows) == n:
+            break
+        column = np.where(free, np.abs(R[:, j]), 0.0)
+        i = column.argmax()
+        if column[i] <= floor:
+            continue
+        R[i] /= R[i, j]
+        factors = R[:, j].copy()
+        factors[i] = 0.0
+        R -= np.outer(factors, R[i])
+        free[i] = False
+        rows.append(i)
+        basic.append(j)
+
+    # Variables: the slacks s = z - t (p), t, then the cap slack.  Columns are
+    # the nonbasic slacks, t (whose column B^-1 K 1 is the row sum) and the
+    # right-hand side; rows are the pivot rows, the cap row t + sigma = cap
+    # and the objective row: minimize -t.  The start basis has zero cost.
+    r = len(rows)
+    is_basic = np.zeros(p, dtype=bool)
+    is_basic[basic] = True
+    nonbasic = np.flatnonzero(~is_basic)
+    T = np.zeros((r + 2, p - r + 2))
+    pivot_rows = R[rows]
+    T[:r, : p - r] = pivot_rows[:, nonbasic]
+    T[:r, p - r] = pivot_rows.sum(axis=1)
+    T[r, p - r] = 1.0
+    T[r, p - r + 1] = cap
+    T[r + 1, p - r] = -1.0
+    return T, np.array(basic + [p + 1], dtype=int), np.append(nonbasic, p)
+
+
+def _pivot_to_optimum(T, basis, nonbasic, eps):
+    """Run the registered pivot loop on a start tableau; the value of every variable at the optimum."""
     # Dantzig pricing finishes in a few hundred pivots on these LPs; one that
     # runs to several stall windows has drifted, and coarser pricing recovers.
     stall_limit = 1000 + 2 * basis.size
@@ -194,7 +250,33 @@ def _solve_once(G, cap, eps):
 
     x = np.zeros(basis.size + nonbasic.size)
     x[basis] = T[:-1, -1]
+    return x
+
+
+def _solve_once(G, cap, eps):
+    k = G.shape[1]
+    x = _pivot_to_optimum(*_tableau(G, cap), eps)
     return MarginResult(float(x[2 * k] - x[2 * k + 1]), x[0:k] - x[k : 2 * k])
+
+
+def _null_solve_once(K, cap, eps):
+    p = K.shape[1]
+    x = _pivot_to_optimum(*_null_tableau(K, cap), eps)
+    return MarginResult(float(x[p]), x[:p] + x[p])
+
+
+def _escalated(solve_once, M, cap):
+    """``solve_once(M, cap, eps)``, retried with coarser pricing on numerical trouble."""
+    if not (cap > 0.0):
+        raise InputError(f"cap must be positive, got {cap!r}")
+    eps = _PRICE_EPS
+    for _ in range(3):
+        try:
+            return solve_once(M, cap, eps)
+        except _NumericalTrouble as trouble:
+            last = trouble
+            eps *= 100.0
+    raise InvariantViolation(f"margin LP failed numerically after escalation: {last}")
 
 
 def lp_max_margin(G, cap: float = 1.0) -> MarginResult:
@@ -206,15 +288,17 @@ def lp_max_margin(G, cap: float = 1.0) -> MarginResult:
     given; callers wanting geometrically meaningful margins should
     normalize them.
     """
-    G = as_matrix(G, name="G")
-    if not (cap > 0.0):
-        raise InputError(f"cap must be positive, got {cap!r}")
+    return _escalated(_solve_once, as_matrix(G, name="G"), cap)
 
-    eps = _PRICE_EPS
-    for _ in range(3):
-        try:
-            return _solve_once(G, cap, eps)
-        except _NumericalTrouble as trouble:
-            last = trouble
-            eps *= 100.0
-    raise InvariantViolation(f"margin LP failed numerically after escalation: {last}")
+
+def lp_positive_null(K, cap: float = 1.0) -> MarginResult:
+    """Maximize t subject to ``K z = 0``, ``z >= t``, ``t <= cap``; the witness is z.
+
+    The optimum is ``cap`` when K has a strictly positive null vector and 0
+    when it has none; a positive optimum's z is such a vector, with every
+    entry at least t.  K may have no rows (the optimum is ``cap``) or no
+    columns (``cap`` as well, with an empty witness).  Rows that the
+    elimination finds dependent, to within ``_PIVOT_TOL`` times the largest
+    entry of K, are dropped.
+    """
+    return _escalated(_null_solve_once, as_matrix(K, name="K"), cap)

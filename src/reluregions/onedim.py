@@ -61,6 +61,8 @@ class StepVector:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("k", "variant", "n"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n < 1:
             raise InputError("step vectors need n >= 1")
         if self.variant not in (0, 1):
@@ -134,6 +136,7 @@ def _step_pool(n: int) -> np.ndarray:
 
 def sample_step_matrix(n: int, d1: int, rng: np.random.Generator) -> np.ndarray:
     """Pattern matrix with rows drawn iid uniformly from the 2n step vectors."""
+    n, d1 = as_int(n, "n"), as_int(d1, "d1")
     return _step_pool(n)[rng.integers(0, 2 * n, size=d1)]
 
 
@@ -245,6 +248,8 @@ def _witness_rows(k: np.ndarray, variant: np.ndarray, x: np.ndarray) -> tuple[np
 
 def _step_codes_on(A, D: Sorted1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_step_codes`` of a pattern on sorted data: one column per point of ``D``, step rows only."""
+    if not isinstance(D, Sorted1D):
+        raise InputError(f"data must be a Sorted1D, got {type(D).__name__}")
     M, k, variant = _step_codes(A)
     if M.shape[1] != D.n:
         raise InputError(f"pattern has {M.shape[1]} columns but data has {D.n} points")
@@ -366,6 +371,7 @@ def coupon_collector_bound(delta: float, n: int, eps: float) -> int:
         raise InputError("delta must lie in (0, 1]")
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
+    n = as_int(n, "n")
     if n < 1:
         raise InputError("n must be at least 1")
     return math.ceil(math.log(n / eps) / delta)
@@ -385,6 +391,7 @@ def width_thresholds(n: int, eps: float) -> WidthThresholds:
     per-sign output-weight count beyond which all but an eps fraction of
     realizable regions contain a codimension-n set of zero-loss minima.
     """
+    n = as_int(n, "n")
     if n < 1:
         raise InputError("n must be at least 1")
     if not (0.0 < eps < 1.0):

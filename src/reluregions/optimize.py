@@ -8,10 +8,22 @@ minimum exactly when that affine set meets the open region cone.  Units
 with the same pattern row and the same sign of v are first merged into one,
 which leaves that answer unchanged and shrinks the problem to at most one
 unit per distinct (row, sign).  The question is then posed as a homogeneous
-margin LP (Charnes-Cooper: the affine set becomes a cone with one extra
+LP (Charnes-Cooper: the affine set becomes a cone with one extra
 coordinate), whose optimum is the cap when the answer is yes and 0 when it
 is no, so ``lp_tol`` separates two well-separated values and does not move
-these verdicts.
+these verdicts.  The LP takes one of two forms:
+
+* Generator form, for 1-d data with a bias (at least two distinct points,
+  step-vector rows only).  The open cone of a merged unit is a planar wedge,
+  the strictly positive combinations of its two extreme rays, so a zero-loss
+  point exists exactly when y = F lambda with lambda > 0, F having one column
+  per ray.  ``lp_positive_null`` decides it on n equality rows.  Its "yes"
+  witness is re-checked (pattern realized off every boundary, residual
+  within ``residual_tol``); one that fails the check falls back to the
+  margin form.
+* Margin form, for every other input: one inequality row per (merged unit,
+  data point) over a null-space basis of the design matrix, solved by
+  ``lp_max_margin``.
 """
 
 from __future__ import annotations
@@ -23,14 +35,16 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tol,
+    _rank,
     as_vector,
     khatri_rao,
     least_squares_min_norm,
     normalize_rows,
     nullspace_basis,
 )
-from .lp import lp_max_margin
-from .model import ActivationPattern, Params, checked_head
+from .lp import lp_max_margin, lp_positive_null
+from .model import ActivationPattern, Params, activation_pattern, checked_head, forward
+from .onedim import _step_codes
 
 __all__ = [
     "RegionMinReport",
@@ -48,9 +62,10 @@ class RegionMinReport:
     regions whose best loss is positive are reported False without further
     analysis (``solution_dim`` None, ``margin`` -inf).  ``solution_dim`` is
     the dimension of the zero-loss affine set of the full network (when one
-    exists), and ``margin`` the optimum of the homogeneous margin LP: 1.0
-    (its cap) when the set meets the open region and 0.0 when it does not,
-    up to roundoff.
+    exists), and ``margin`` the optimum of the homogeneous LP that decided
+    the region, the generator LP for 1-d data with a bias and the margin LP
+    otherwise: 1.0 (its cap) when the set meets the open region and 0.0
+    when it does not, up to roundoff.
     """
 
     contains_zero_loss: bool
@@ -110,17 +125,104 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
     Units with the same pattern row and the same sign of v are merged into
     one unit of that sign: a positive sum of points of their common open
     cone stays in the cone, so the merged pattern has a zero-loss point
-    exactly when the region does.  Its zero-loss set theta0 + span N meets
-    the open region exactly when R N c + tau R theta0 / |theta0| > 0 has a
-    solution with tau > 0 (R the region's sign rows), and then
+    exactly when the region does.  Strict inequalities cannot be handed to
+    a QP solver directly, which is why the quadratic objective is replaced
+    by an exact linear formulation, in one of two forms.
+
+    For 1-d data with a bias (at least two distinct points, step rows only)
+    each class's open cone is a planar wedge, the strictly positive
+    combinations of its two extreme rays, so the region has a zero-loss
+    point exactly when y = F lambda for some lambda > 0, F being n x 2C
+    (one column per ray, classes inactive everywhere left out).  That is
+    the n-row LP ``lp_positive_null([F, -y])``.  Its "yes" is returned only
+    when the witness built from lambda realizes A off every region boundary
+    and fits y within ``residual_tol``; otherwise, and for every other
+    input, the margin route below decides.
+
+    Margin route: the merged zero-loss set theta0 + span N meets the open
+    region exactly when R N c + tau R theta0 / |theta0| > 0 has a solution
+    with tau > 0 (R the region's sign rows), and then
     theta0 + N c |theta0| / tau is a strictly interior zero-loss point.
-    Strict inequalities cannot be handed to a QP solver directly, which is
-    why the quadratic objective is replaced by this exact affine-set +
-    margin formulation.
     """
     Xh = ActivationPattern.lift(A, X)
     y = as_vector(y, name="y")
     v = checked_head(v, A.d1)
+    if A.bias_flag and Xh.shape[0] == 2 and A.n >= 2:
+        report = _generator_report(A, Xh, y, v, tol)
+        if report is not None:
+            return report
+    return _margin_report(A, Xh, y, v, tol)
+
+
+def _class_witness(theta: np.ndarray, label: np.ndarray, v: np.ndarray, bias: bool) -> Params:
+    """Unit parameters from one weight block per class.
+
+    Unit i of class c takes w_c / (k_c |v_i|): a positive multiple of w_c,
+    so strictly inside the cone, and the class sums to sign(v) w_c.
+    """
+    counts = np.bincount(label)
+    blocks = theta[label] / (counts[label] * np.abs(v))[:, None]
+    return Params(blocks[:, :-1], blocks[:, -1], v) if bias else Params(blocks, None, v)
+
+
+def _generator_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.ndarray, tol: Tol):
+    """The report of a pattern on 1-d data with a bias from the generator LP, or None to use the margin route."""
+    x = Xh[0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    if not np.all(np.diff(xs) > 0.0):
+        return None
+    label, first = _unit_classes(A.A, v)
+    M, k, variant = _step_codes(A.A[first][:, order])
+    if not k.all():
+        return None
+    n = xs.shape[0]
+
+    # Ray i of a class is sigma_i (1, -x_{a_i}): zero at the anchor point
+    # a_i and of the row's sign on the other points.  A switching row's
+    # anchors straddle its threshold; a constant row's are the end points.
+    constant = k == 1
+    anchors = np.where(constant[:, None], [0, n - 1], (k - 2)[:, None] + [0, 1])
+    slope = 2.0 * variant - 1.0
+    sigma = np.column_stack([slope, np.where(constant, -slope, slope)])
+    active = M.any(axis=1)
+    signs = np.sign(v[first])[active, None] * sigma[active]
+    F = (signs[..., None] * M[active, None, :] * (xs - xs[anchors[active]][..., None])).reshape(-1, n).T
+    ys = y[order]
+
+    # F spans the columns of the merged design matrix, so its SVD gives the
+    # rank and the reachability test of the margin route.
+    rank = 0
+    residual = float(np.linalg.norm(ys))
+    if F.size:
+        U, s, _ = np.linalg.svd(F, full_matrices=False)
+        rank = int(_rank(s, tol))
+        U = U[:, :rank]
+        residual = float(np.linalg.norm(ys - U @ (U.T @ ys)))
+    if tol.misses(residual, ys):
+        return RegionMinReport(False, None, None, float("-inf"))
+    solution_dim = 2 * A.d1 - rank
+
+    result = lp_positive_null(np.column_stack([F, -ys]), cap=1.0)
+    if result.t <= tol.lp_tol:
+        return RegionMinReport(False, None, solution_dim, result.t)
+    # A class inactive everywhere is not in F; lambda = 1 on both of its rays
+    # puts it strictly inside its cone.
+    lam = np.ones(sigma.shape)
+    lam[active] = (result.witness[:-1] / result.witness[-1]).reshape(-1, 2)
+    weights = lam * sigma
+    theta = np.column_stack([weights.sum(axis=1), -(weights * xs[anchors]).sum(axis=1)])
+    witness = _class_witness(theta, label, v, bias=True)
+    X = Xh[:1]
+    realized, degenerate = activation_pattern(witness, X, tol)
+    residual = float(np.linalg.norm(forward(witness, X) - y))
+    if degenerate or not np.array_equal(realized.A, A.A) or tol.misses(residual, y):
+        return None
+    return RegionMinReport(True, witness, solution_dim, result.t)
+
+
+def _margin_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.ndarray, tol: Tol) -> RegionMinReport:
+    """The report from the homogeneous margin LP over every region row of the merged pattern."""
     label, first = _unit_classes(A.A, v)
     # The merged pattern reads the lifted inputs, so it carries no bias flag.
     merged = ActivationPattern(A.A[first], bias_flag=False)
@@ -149,9 +251,4 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
         return RegionMinReport(False, None, solution_dim, margin)
     u = result.witness
     theta = theta0 + N @ u[:q] * (scale / u[q]) if scale > 0.0 else N @ u
-    # Unit i of class c takes w_c / (k_c |v_i|): a positive multiple of w_c,
-    # so strictly inside the cone, and the class sums to sign(v) w_c.
-    counts = np.bincount(label)
-    blocks = theta.reshape(C, block)[label] / (counts[label] * np.abs(v))[:, None]
-    witness = Params(blocks[:, :-1], blocks[:, -1], v) if A.bias_flag else Params(blocks, None, v)
-    return RegionMinReport(True, witness, solution_dim, margin)
+    return RegionMinReport(True, _class_witness(theta.reshape(C, block), label, v, A.bias_flag), solution_dim, margin)

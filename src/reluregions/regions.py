@@ -192,7 +192,7 @@ def zonotope_vertex_check(S, X, tol: Tol = DEFAULT_TOL) -> bool:
     """
     X = as_matrix(X, name="X")
     n = X.shape[1]
-    S = frozenset(int(j) for j in S)
+    S = frozenset(as_int(j, "each subset index") for j in S)
     if S and (min(S) < 0 or max(S) >= n):
         raise InputError(f"subset indices must lie in [0, {n})")
     a = tuple(int(j in S) for j in range(n))

@@ -126,6 +126,23 @@ def test_resolve_d0():
         resolve_d0("3n", 10)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: gen_gaussian_data(bad, 3, 0),
+        lambda bad: gen_gaussian_data(1, bad, 0),
+        lambda bad: gen_cube_data(bad, 3, 0),
+        lambda bad: gen_cube_data(1, bad, 0),
+        lambda bad: init_params("he", bad, 2, 0),
+        lambda bad: init_params("he", 1, bad, 0),
+    ],
+)
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", True])
+def test_generator_sizes_must_be_integers(call, bad):
+    with pytest.raises(InputError, match="must be an integer"):
+        call(bad)
+
+
 def test_config_validation():
     with pytest.raises(InputError):
         ExperimentConfig(n_values=(), d1_values=(2,))

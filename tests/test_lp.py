@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from reluregions import lp, lp_max_margin, normalize_rows, optimize, region_global_min_report
+from reluregions import ActivationPattern, lp, lp_max_margin, lp_positive_null, normalize_rows, optimize, region_global_min_report
 from reluregions.errors import InputError, InvariantViolation
+from reluregions.linalg import DEFAULT_TOL
 
 
 @pytest.fixture(params=sorted(lp._KERNELS))
@@ -344,19 +345,107 @@ def test_condensed_kernel_matches_full_tableau_when_unbounded_or_cut_short():
     assert _assert_kernels_agree(np.zeros((0, 2)))[:2] == (lp.OPTIMAL, 1)
 
 
+def _assert_null_kernels_agree(K, cap=1.0):
+    """Check the crash start of the positive-null LP of K and pivot it with both kernels; returns the pivot count."""
+    n, p = K.shape
+    T, basis, nonbasic = lp._null_tableau(K, cap)
+    r = basis.size - 1
+    assert T.shape == (r + 2, p - r + 2)
+    assert np.array_equal(np.sort(np.r_[basis, nonbasic]), np.arange(p + 2))
+    assert basis[-1] == p + 1 and nonbasic[-1] == p
+
+    # Start oracle: the pivot rows read s_B + B^-1 N s_N + t B^-1 K 1 = 0 for
+    # the chosen basic columns B of K, which must have full column rank.
+    B = K[:, basis[:-1]]
+    assert np.linalg.matrix_rank(B) == r == np.linalg.matrix_rank(K)
+    expected = np.linalg.lstsq(B, np.column_stack([K[:, nonbasic[:-1]], K.sum(axis=1)]), rcond=None)[0]
+    assert np.allclose(T[:r, :-1], expected, atol=1e-9 * (1.0 + np.abs(expected).max(initial=0.0)))
+    assert not T[:r, -1].any()
+    assert np.array_equal(T[r:], [np.eye(1, p - r + 2, p - r).ravel() + np.eye(1, p - r + 2, p - r + 1).ravel() * cap,
+                                  -np.eye(1, p - r + 2, p - r).ravel()])
+
+    # The same start as a full tableau (an identity column per basic
+    # variable) must pivot to the same floats.
+    F = np.zeros((r + 2, p + 3))
+    F[:, np.r_[nonbasic, -1]] = T
+    F[np.arange(r + 1), basis] = 1.0
+    full_basis = basis.copy()
+    stall_limit = 1000 + 2 * basis.size
+    status, pivots, _, _ = _full_simplex_loop(F, full_basis, lp._PRICE_EPS, lp._PIVOT_TOL, 4 * stall_limit, stall_limit)
+    assert lp.simplex_loop(T, basis, lp._PRICE_EPS, lp._PIVOT_TOL, 4 * stall_limit, stall_limit, nonbasic) == status == lp.OPTIMAL
+    assert np.array_equal(basis, full_basis)
+    assert np.array_equal(T, F[:, np.r_[nonbasic, -1]])
+
+    x = np.zeros(p + 2)
+    x[full_basis] = F[:-1, -1]
+    result = lp._null_solve_once(K, cap, lp._PRICE_EPS)
+    assert np.float64(result.t).tobytes() == np.float64(x[p]).tobytes()
+    assert result.witness.tobytes() == (x[:p] + x[p]).tobytes()
+    return pivots
+
+
 def test_condensed_kernel_matches_full_tableau_on_c10_lps(monkeypatch):
+    # The C10 cell has 1-d data with a bias, so its reports take the n-row
+    # generator LP; the margin route is called directly to keep the 80-row
+    # margin LPs covered as well.
     from test_optimize import _c10_region
 
-    lps = []
+    margin_lps, null_lps = [], []
 
-    def recording(G, cap):
-        lps.append(G)
-        return lp_max_margin(G, cap=cap)
+    def recording(log, solve):
+        def record(M, cap):
+            log.append(M)
+            return solve(M, cap=cap)
 
-    monkeypatch.setattr(optimize, "lp_max_margin", recording)
+        return record
+
+    monkeypatch.setattr(optimize, "lp_max_margin", recording(margin_lps, lp_max_margin))
+    monkeypatch.setattr(optimize, "lp_positive_null", recording(null_lps, lp_positive_null))
     for seed in (11000000, 3400002, 300715):
         for trial in range(4):
-            region_global_min_report(*_c10_region(seed, trial))
-    assert len(lps) >= 8
-    pivots = [_assert_kernels_agree(G)[1] for G in lps]
+            A, X, y, v = _c10_region(seed, trial)
+            general = optimize._margin_report(A, ActivationPattern.lift(A, X), y, v, DEFAULT_TOL)
+            assert region_global_min_report(A, X, y, v).contains_zero_loss == general.contains_zero_loss
+    assert len(margin_lps) >= 8 and len(null_lps) >= 8
+    assert min(G.shape[0] for G in margin_lps) >= 60
+    pivots = [_assert_kernels_agree(G)[1] for G in margin_lps]
     assert max(pivots) >= 20
+    assert all(K.shape[0] == 5 for K in null_lps)
+    assert max(_assert_null_kernels_agree(K) for K in null_lps) >= 2
+
+
+def test_positive_null_start_matches_full_tableau():
+    # Small integer entries give dependent rows, zero columns and ties.
+    rng = np.random.default_rng(54)
+    dropped = 0
+    for case in range(200):
+        n = int(rng.integers(1, 7))
+        p = int(rng.integers(1, 12))
+        K = rng.integers(-2, 3, (n, p)).astype(float)
+        if case % 3 == 0 and n > 1:
+            K[-1] = 2.0 * K[0] - K[:-1].sum(axis=0)  # a dependent row
+        dropped += lp._null_tableau(K, 1.0)[1].size - 1 < n
+        _assert_null_kernels_agree(K, cap=float(rng.choice([1.0, 2.0])))
+    assert dropped >= 50
+
+
+def test_positive_null_edge_shapes():
+    # No rows: every z is a null vector.  No columns: only the cap binds.
+    for K, t in ((np.zeros((0, 3)), 1.0), (np.zeros((2, 0)), 1.0), (np.zeros((3, 2)), 1.0), (np.array([[1.0, 1.0]]), 0.0)):
+        r = lp_positive_null(K)
+        assert r.t == pytest.approx(t, abs=1e-12)
+        assert r.witness.shape == (K.shape[1],)
+        assert np.all(r.witness >= r.t - 1e-12)
+    r = lp_positive_null(np.array([[1.0, -2.0, 1.0]]), cap=0.5)
+    assert r.t == pytest.approx(0.5, abs=1e-12)
+    assert r.witness @ [1.0, -2.0, 1.0] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(InputError):
+        lp_positive_null(np.array([[1.0]]), cap=0.0)
+    with pytest.raises(InputError):
+        lp_positive_null(np.array([[np.nan]]))
+    with pytest.raises(InputError):
+        lp_positive_null(np.array([1.0, -1.0]))
+
+
+def test_positive_null_reaches_the_kernel_registry(kernel_entry):
+    assert lp_positive_null(np.array([[1.0, -1.0]])).t == pytest.approx(1.0, abs=1e-12)

@@ -171,6 +171,40 @@ def test_witness_rejects_non_step():
         witness_params_1d(np.array([[1, 0, 1]]), D)
 
 
+@pytest.mark.parametrize("data", [np.array([0.0, 1.0, 2.0]), (0, 1, 2), Dataset(np.array([[0.0, 1.0, 2.0]]), np.zeros(3))])
+def test_witness_and_fit_need_sorted_data(data):
+    A = np.array([[0, 1, 1], [0, 1, 1], [0, 0, 1], [0, 0, 1], [1, 1, 1], [1, 1, 1]])
+    with pytest.raises(InputError, match="must be a Sorted1D"):
+        witness_params_1d(A, data)
+    with pytest.raises(InputError, match="must be a Sorted1D"):
+        fit_exact_1d(A, data, _alternating(6))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: width_thresholds(bad, 0.1),
+        lambda bad: coupon_collector_bound(0.5, bad, 0.1),
+        lambda bad: sample_step_matrix(bad, 3, np.random.default_rng(0)),
+        lambda bad: sample_step_matrix(2, bad, np.random.default_rng(0)),
+        lambda bad: step_vector(bad, 0, 3),
+        lambda bad: step_vector(1, bad, 3),
+        lambda bad: step_vector(1, 0, bad),
+    ],
+)
+@pytest.mark.parametrize("bad", [2.5, 1.0, "2", True])
+def test_sizes_must_be_integers(call, bad):
+    with pytest.raises(InputError, match="must be an integer"):
+        call(bad)
+
+
+def test_sizes_accept_numpy_integers():
+    assert width_thresholds(np.int64(4), 0.1) == width_thresholds(4, 0.1)
+    assert coupon_collector_bound(0.5, np.uint8(4), 0.1) == coupon_collector_bound(0.5, 4, 0.1)
+    assert np.array_equal(step_vector(np.int32(2), np.int8(1), np.int64(3)), [0, 1, 1])
+    assert sample_step_matrix(np.int16(3), np.int64(5), np.random.default_rng(0)).shape == (5, 3)
+
+
 def test_sorted1d_perm_must_be_integers():
     with pytest.raises(InputError, match="perm must be an integer"):
         Sorted1D([0.0, 1.0], [0.0, 0.0], [0.6, 1.3])

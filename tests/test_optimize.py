@@ -306,10 +306,12 @@ def _c10_region(seed, trial):
 
 
 def test_c10_verdicts_and_witnesses_pinned(monkeypatch):
-    # sha256 over trials 0..49 of the seed-110 C10 cell (the benchmark's
-    # globalmin-c10 seed) of the verdict, the resample count, the margin and
-    # the witness bytes, recorded with the full-tableau pivot kernel.  Any
-    # change of pivots or of rounding in the solve moves it.
+    # Trials 0..49 of the seed-110 C10 cell (the benchmark's globalmin-c10
+    # seed).  The first sha256 covers the verdict and resample count of each
+    # trial, recorded with the margin route and unchanged by the generator
+    # LP; the second adds the margin and the witness bytes, recorded with
+    # the generator LP.  Any change of pivots or of rounding in the solve
+    # moves the second.
     reports = []
 
     def recording(A, X, y, v, tol):
@@ -318,19 +320,22 @@ def test_c10_verdicts_and_witnesses_pinned(monkeypatch):
 
     monkeypatch.setattr(experiments, "region_global_min_report", recording)
     cfg = _c10_config(110)
+    verdicts = hashlib.sha256()
     digest = hashlib.sha256()
     yes = 0
     for trial in range(50):
         [(ok, attempt)] = experiments._globalmin_block(cfg, cfg.cells()[0], 0, range(trial, trial + 1))
         report = reports[-1]
         yes += ok
+        verdicts.update(bytes([ok, attempt]))
         digest.update(bytes([ok, attempt]))
         digest.update(np.float64(report.margin).tobytes())
         if report.witness is not None:
             for part in (report.witness.W, report.witness.b, report.witness.v):
                 digest.update(np.ascontiguousarray(part).tobytes())
     assert yes == 41
-    assert digest.hexdigest() == "6fb2b98aa420f8ee7a6d3420a7c97c3f86c9bd658ee825c76889fec9633c615b"
+    assert verdicts.hexdigest() == "0506e091abd6d3b2df6e82fc3d748ae6cf684db08862e4afc3fcfb99504e43d8"
+    assert digest.hexdigest() == "25ba15bc9e5a6e8268edf07491620e3ab2bb63468b7145c9589e5f898ef6f64f"
 
 
 # Trial 1 at these grid seeds: two data points 2e-4 (300715) and 2e-5
@@ -462,7 +467,7 @@ def test_drifting_margin_lp_retries_instead_of_spinning(monkeypatch):
 def test_report_passes_g_as_only_positional_argument(monkeypatch):
     # perfbench's tracer reads a positional second argument (or E=) as
     # equality rows, and so as a solve with a phase 1: G must be the only
-    # positional argument.
+    # positional argument.  2-d data takes the margin route.
     calls = []
 
     def recording(*args, **kwargs):
@@ -471,10 +476,144 @@ def test_report_passes_g_as_only_positional_argument(monkeypatch):
 
     monkeypatch.setattr(optimize, "lp_max_margin", recording)
     rng = np.random.default_rng(13)
-    n, d1 = 4, 12
-    v = _alternating(d1)
-    A = ActivationPattern(random_complete_step_matrix(n, v, rng))
-    report = region_global_min_report(A, _sorted_x(rng, n)[None, :], rng.uniform(-1.0, 1.0, n), v)
+    X = rng.standard_normal((2, 5))
+    p = Params(rng.standard_normal((8, 2)), rng.standard_normal(8), _alternating(8))
+    A, degenerate = activation_pattern(p, X)
+    assert not degenerate
+    report = region_global_min_report(A, X, forward(p, X), p.v)
     assert report.contains_zero_loss
     [(args, kwargs)] = calls
     assert len(args) == 1 and sorted(kwargs) == ["cap"]
+
+
+def _margin_route(A, X, y, v, tol=DEFAULT_TOL):
+    """The report of the margin LP over every region row, which serves every input the generator LP does not."""
+    return optimize._margin_report(A, ActivationPattern.lift(A, X), y, v, tol)
+
+
+def _cell_regions(**kwargs):
+    """(pattern, X, y, v) of every trial of a globalmin grid config, as the grid draws them."""
+    cfg = experiments.ExperimentConfig(**kwargs)
+    regions = []
+    for ci, cell in enumerate(cfg.cells()):
+        X, y, A, _ = experiments._draw_block(cfg, cell, ci, range(cfg.trials), labels=True)
+        v = experiments._head(cell[2])
+        regions += [(ActivationPattern(Ak, cfg.bias), Xk, yk, v) for Ak, Xk, yk in zip(A, X, y)]
+    return regions
+
+
+@pytest.mark.parametrize("labels,init,seed", [("random", "he", 61), ("poly:2", "sqrtd1", 62)])
+def test_generator_lp_matches_margin_route_on_1d_cells(labels, init, seed):
+    # Random and polynomial targets put no zero-loss set on a region
+    # boundary, so the two routes must agree on every verdict and dimension,
+    # and every "yes" witness must pass the zero-loss-fit rule.
+    yes = no = 0
+    for A, X, y, v in _cell_regions(
+        n_values=(3, 7, 16), d1_values=(2, 9, 40, 200), d0_rule="1", trials=12, seed=seed, labels=labels, init=init
+    ):
+        report = optimize._generator_report(A, ActivationPattern.lift(A, X), y, v, DEFAULT_TOL)
+        assert report is not None
+        general = _margin_route(A, X, y, v)
+        assert (report.contains_zero_loss, report.solution_dim) == (general.contains_zero_loss, general.solution_dim)
+        if report.contains_zero_loss:
+            yes += 1
+            assert report.margin == pytest.approx(1.0, abs=1e-9)
+            assert _zero_loss_fit(report.witness, A, X, y)
+        else:
+            no += 1
+    assert yes >= 30 and no >= 30
+
+
+def _highs_merged_margin(scipy_optimize, A, X, y, v):
+    """Test oracle: HiGHS on the merged zero-loss problem in weight coordinates.
+
+    Maximizes t subject to D theta = y, (2 A_cj - 1) <xhat_j, theta_c> >=
+    t |xhat_j| and t <= 1, with D the merged design matrix.  It needs no
+    null-space basis, so it has no roundoff-zero region rows; a margin above
+    lp_tol means the zero-loss set meets the open region.
+    """
+    _, first = optimize._unit_classes(A.A, v)
+    merged = ActivationPattern(A.A[first])
+    D = design_matrix(merged, X, np.sign(v[first]))
+    Xh = embed_ones(X)
+    C, n = merged.A.shape
+    R = np.zeros((C * n, 2 * C))
+    for c in range(C):
+        R[c * n : (c + 1) * n, 2 * c : 2 * c + 2] = (2.0 * merged.A[c] - 1.0)[:, None] * Xh.T / np.linalg.norm(Xh, axis=0)[:, None]
+    result = scipy_optimize.linprog(
+        c=np.r_[np.zeros(2 * C), -1.0],
+        A_ub=np.hstack([-R, np.ones((C * n, 1))]),
+        b_ub=np.zeros(C * n),
+        A_eq=np.hstack([D, np.zeros((n, 1))]),
+        b_eq=y,
+        bounds=[(None, None)] * (2 * C) + [(None, 1.0)],
+        method="highs",
+    )
+    assert result.status in (0, 2)  # optimal, or the targets are out of reach
+    return -result.fun if result.status == 0 else float("-inf")
+
+
+@pytest.mark.parametrize("n_values,d1_values,seed,trials", [((4,), (12,), 11, 400), ((3, 5), (2, 5, 10), 34, 60)])
+def test_generator_lp_on_teacher_cells_only_drops_boundary_yes(n_values, d1_values, seed, trials):
+    # Teacher targets can put the zero-loss set on a region boundary, where
+    # the margin route's roundoff-zero rows answer a wrong "yes".  The
+    # generator LP has no such rows: every disagreement must be a margin
+    # "yes" turned "no", and HiGHS (when scipy is present) must side with
+    # the generator LP on every trial.
+    try:
+        from scipy import optimize as scipy_optimize
+    except ImportError:
+        scipy_optimize = None
+    disagree = yes = 0
+    for A, X, y, v in _cell_regions(
+        n_values=n_values, d1_values=d1_values, d0_rule="1", trials=trials, seed=seed, labels="teacher", init="he"
+    ):
+        report = region_global_min_report(A, X, y, v)
+        general = _margin_route(A, X, y, v)
+        if report.contains_zero_loss != general.contains_zero_loss:
+            disagree += 1
+            assert general.contains_zero_loss and report.margin <= DEFAULT_TOL.lp_tol
+        if report.contains_zero_loss:
+            yes += 1
+            assert _zero_loss_fit(report.witness, A, X, y)
+        if scipy_optimize is not None:
+            assert report.contains_zero_loss == (_highs_merged_margin(scipy_optimize, A, X, y, v) > DEFAULT_TOL.lp_tol)
+    assert disagree >= 5 and yes >= 30
+
+
+def test_generator_lp_falls_back_to_margin_route(monkeypatch):
+    rng = np.random.default_rng(16)
+    n, d1 = 5, 12
+    v = _alternating(d1)
+    A = ActivationPattern(random_complete_step_matrix(n, v, rng))
+    X = _sorted_x(rng, n)[None, :]
+    y = rng.uniform(-1.0, 1.0, n)
+    solves = []
+
+    def bogus_yes(K, cap):
+        solves.append(K.shape)
+        return lp.MarginResult(cap, np.ones(K.shape[1]))
+
+    # A "yes" whose witness misses the targets is never returned: the
+    # margin route decides instead.
+    monkeypatch.setattr(optimize, "lp_positive_null", bogus_yes)
+    report = region_global_min_report(A, X, y, v)
+    assert solves == [(n, 2 * len(optimize._unit_classes(A.A, v)[1]) + 1)]
+    general = _margin_route(A, X, y, v)
+    assert report.contains_zero_loss and _zero_loss_fit(report.witness, A, X, y)
+    assert report.witness.W.tobytes() + report.witness.b.tobytes() == general.witness.W.tobytes() + general.witness.b.tobytes()
+
+    # Rows that are not step vectors, repeated points and a single point
+    # never reach the generator LP.
+    solves.clear()
+    cases = [
+        (ActivationPattern([[1, 0, 1], [1, 1, 1]]), np.array([[0.1, 0.5, 0.9]]), np.array([0.0, 1.0, 0.0])),
+        (ActivationPattern([[1, 1, 1], [0, 1, 1]]), np.array([[0.1, 0.5, 0.5]]), np.array([0.0, 1.0, 1.0])),
+        (ActivationPattern([[1], [0]]), np.array([[0.3]]), np.array([1.0])),
+    ]
+    for A, X, y in cases:
+        v = _alternating(2)
+        report = region_global_min_report(A, X, y, v)
+        general = _margin_route(A, X, y, v)
+        assert (report.contains_zero_loss, report.solution_dim) == (general.contains_zero_loss, general.solution_dim)
+    assert solves == []

@@ -27,8 +27,8 @@ def _strict_json(line: str):
     return json.loads(line, parse_constant=reject)
 
 
-def _traced_run(workload: str) -> dict:
-    """The record of a 1 s traced run, after checking its result line."""
+def _traced_run(workload: str) -> tuple:
+    """The record and the result metrics of a 1 s traced run, after checking its result line."""
     if not RUN.is_file():
         pytest.skip("perfbench/run.py is not in this checkout")
     proc = subprocess.run(
@@ -45,11 +45,15 @@ def _traced_run(workload: str) -> dict:
     assert result["correct"] is True
     assert result["failed"] == 0
     assert all(m["value"] is not None for m in result["metrics"].values())
-    return _strict_json(lines[-2])["record"]
+    return _strict_json(lines[-2])["record"], result["metrics"]
 
 
 def test_traced_globalmin_run_prints_a_result():
-    assert _traced_run("globalmin-c10")["witnesses_checked"] > 0
+    record, metrics = _traced_run("globalmin-c10")
+    assert record["witnesses_checked"] > 0
+    # The zero-loss LP looks its pivot loop up in lp._KERNELS, which the
+    # tracer wraps, so the kernel layer is timed.
+    assert metrics["kernel.ms"]["value"] > 0.0
 
 
 def test_traced_exact_1d_run_prints_a_result():

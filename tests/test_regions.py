@@ -357,6 +357,14 @@ def test_zonotope_empty_set_needs_open_halfspace():
     assert not zonotope_vertex_check(set(), X2)
 
 
+def test_zonotope_subset_indices_must_be_integers():
+    X = np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -1.0]])
+    for bad in ([0.5], [1.0], ["1"], [True]):
+        with pytest.raises(InputError, match="each subset index must be an integer"):
+            zonotope_vertex_check(bad, X)
+    assert zonotope_vertex_check([np.int64(0)], X) == zonotope_vertex_check({0}, X)
+
+
 def test_zonotope_matches_pattern_feasibility_full_set():
     rng = np.random.default_rng(41)
     X = rng.standard_normal((3, 5))
