@@ -17,9 +17,13 @@ Both grids draw through one path, ``_draw_block``.  Each round flags the
 pending draws of a block of a cell's trials with one ``stacked_patterns``
 call; a draw on a region boundary (degenerate pattern) is never scored, and
 only its trial is drawn again, at the next attempt, which is reported as a
-resample.  The rank grid then decides the block with one stacked SVD, the
-globalmin grid with one zero-loss report per trial.  A block gives the same
-outcomes as its trials drawn one at a time through the public API.
+resample.  The rank grid then decides the block with one
+``stacked_jacobian_full_rank`` call: the n x n Gram matrices of the block
+prove full rank under a stated rounding bound, zero pattern columns prove
+the opposite, and only the trials left undecided get an SVD of their
+Jacobians.  The globalmin grid runs one zero-loss report per trial.  A block
+gives the same outcomes as its trials drawn one at a time through the public
+API (the rank grid's through the SVD rule of ``jacobian_full_rank``).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .model import (
     ActivationPattern,
     Params,
     forward,
-    stacked_jacobian_ranks,
+    stacked_jacobian_full_rank,
     stacked_patterns,
     activation_pattern,  # not called here: the benchmark's tracer wraps
     jacobian_full_rank,  # these two names of this module
@@ -69,7 +73,11 @@ CSV_HEADER = "experiment,d0,d1,n,trials,seed,metric,value,resamples"
 MAX_N = 30
 MAX_D1 = 400
 MAX_RESAMPLE = 100
-# Float entries of the stacked Jacobians of one block of a cell's trials (4 MB).
+# Float entries of one block of a cell's trials (4 MB), counted as the
+# Jacobian entries d1 (d0 + bias) n per trial.  It bounds each of the block's
+# arrays: W, X and the n x n Gram matrices hold at most as many (a Gram
+# matrix is formed only when d1 (d0 + bias) >= n), and so do the stacked
+# Jacobians of the trials that fall back to the SVD.
 _BLOCK_ENTRIES = 1 << 19
 D0_RULES = ("n/4", "n/2", "n", "2n")
 INIT_SCHEMES = ("sqrtd1", "he")
@@ -344,9 +352,9 @@ def _draw_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range, lab
 
 
 def _rank_block(cfg: ExperimentConfig, cell, cell_index: int, trials: range) -> list:
-    """(full rank, resamples) per trial of a block, by one stacked SVD."""
+    """(full rank, resamples) per trial of a block, by one ``stacked_jacobian_full_rank`` call."""
     X, _, A, attempts = _draw_block(cfg, cell, cell_index, trials, labels=False)
-    full = stacked_jacobian_ranks(A, X, cfg.bias, cfg.tol) == cell[0]
+    full = stacked_jacobian_full_rank(A, X, cfg.bias, cfg.tol)
     return list(zip(full.tolist(), attempts))
 
 
@@ -450,36 +458,69 @@ def grid_csv_text(result: GridResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_count(text: str, name: str, where: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise InputError(f"{where}: {name} must be an integer, got {text!r}")
+    if value < 0:
+        raise InputError(f"{where}: {name} must be nonnegative, got {value}")
+    return value
+
+
+def _csv_fraction(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputError(f"{where}: value must be a number, got {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise InputError(f"{where}: value must be a fraction in [0, 1], got {text!r}")
+    return value
+
+
 def read_grid_csv(path) -> GridResult:
-    """Parse a grid CSV back into a GridResult."""
+    """Parse a grid CSV back into a GridResult.
+
+    Every data row has the header's nine fields and the experiment, metric
+    and seed of the first row; its counts are nonnegative integers and its
+    value is a finite fraction in [0, 1].  Anything else raises InputError.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != CSV_HEADER.split(","):
+    header = CSV_HEADER.split(",")
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != header:
         raise InputError(f"unexpected CSV header in {path}")
     cells = []
-    experiment = metric = None
-    seed = 0
+    grid = None
     for row in reader:
-        experiment = row["experiment"]
-        metric = row["metric"]
-        seed = int(row["seed"])
+        if not row:
+            continue
+        where = f"{path}, line {reader.line_num}"
+        if len(row) != len(header):
+            raise InputError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        experiment, d0, d1, n, trials, seed, metric, value, resamples = row
+        key = (experiment, metric, _csv_count(seed, "seed", where))
+        if grid is None:
+            grid = key
+        elif key != grid:
+            raise InputError(f"{where}: experiment, metric and seed {key} differ from the first row's {grid}")
         cells.append(
             CellResult(
-                n=int(row["n"]),
-                d0=int(row["d0"]),
-                d1=int(row["d1"]),
-                trials=int(row["trials"]),
-                value=float(row["value"]),
-                resamples=int(row["resamples"]),
+                n=_csv_count(n, "n", where),
+                d0=_csv_count(d0, "d0", where),
+                d1=_csv_count(d1, "d1", where),
+                trials=_csv_count(trials, "trials", where),
+                value=_csv_fraction(value, where),
+                resamples=_csv_count(resamples, "resamples", where),
             )
         )
-    if experiment is None:
+    if grid is None:
         raise InputError(f"no data rows in {path}")
-    return GridResult(experiment, metric, seed, tuple(cells))
+    return GridResult(*grid, tuple(cells))
 
 
 _VIRIDIS = (

@@ -4,6 +4,10 @@ Everything here is a thin, contract-checked layer over numpy's SVD/lstsq
 machinery.  All rank decisions in the package (``mat_rank``,
 ``nullspace_basis`` and the batched ``stacked_ranks``) share one rule,
 ``_rank``, so that a single relative singular-value threshold governs them.
+``model.stacked_jacobian_full_rank`` proves that rule's outcome for most
+Jacobians without an SVD (a row count, a zero column, or the spectrum of
+the Gram matrix under a stated rounding bound); it does not replace the
+rule, and every draw it cannot settle is ranked here.
 The ``stacked_`` functions take arrays with leading batch axes and skip
 validation; their callers build those arrays from validated draws.
 """

@@ -17,9 +17,14 @@ to (x, 1) when the pattern carries a bias flag.  ``ActivationPattern`` and
 ``regions.UnitPattern`` share it.
 
 ``activation_pattern`` and ``jacobian_full_rank`` validate one draw;
-``stacked_patterns`` and ``stacked_jacobian_ranks`` apply the same rules
-(``on_boundary``, the Khatri-Rao layout, ``linalg._rank``) to arrays with
+``stacked_patterns`` and ``stacked_jacobian_full_rank`` give the same
+answers (``on_boundary``; rank n under ``linalg._rank``) on arrays with
 leading axes of trusted draws, as the blocks of both Monte Carlo grids are.
+``stacked_jacobian_full_rank`` builds no Jacobian for most draws: the n x n
+Gram matrix J^T J = (A^T A) o (X^T X) is two small batched products, and its
+``eigvalsh`` spectrum proves full rank under a stated rounding bound
+(``_gram_ratio_floor``).  A zero pattern column or too few rows prove the
+opposite, and the draws left undecided get the SVD of their Jacobians.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ __all__ = [
     "stacked_patterns",
     "activation_pattern",
     "jacobian_full_rank",
-    "stacked_jacobian_ranks",
+    "stacked_jacobian_full_rank",
 ]
 
 
@@ -262,12 +267,100 @@ def jacobian_full_rank(A: ActivationPattern, X, tol: Tol = DEFAULT_TOL) -> bool:
     return mat_rank(khatri_rao(A.A.astype(float), Xh), tol) == A.n
 
 
-def stacked_jacobian_ranks(A: np.ndarray, X: np.ndarray, bias: bool, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """Jacobian ranks of stacked patterns ``A`` (..., d1, n) on inputs ``X`` (..., d0, n).
+# Unit roundoff of float64.
+_U = np.finfo(float).eps / 2
+# Below this largest Gram eigenvalue, products that underflow (each off by at
+# most 2^-1075) are no longer small against the forming allowance.
+_GRAM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
-    The same matrix as ``jacobian_full_rank`` builds, ranked by one SVD call
-    over the stack; the inputs are trusted (no validation).
+
+def _svd_slack(rows: int) -> float:
+    """Allowed error of each singular value of J, relative to the largest: rows^2 u.
+
+    LAPACK's SVD and ``eigvalsh`` are backward stable: each computed singular
+    value (eigenvalue) lies within p(N) u times the largest of the exact one,
+    with p a modestly growing function of the size N (LAPACK Users' Guide,
+    sections 4.7 and 4.9).  We allow p(N) = N^2, for J with N = rows >= n.
     """
-    if bias:
-        X = np.concatenate([X, np.ones(X.shape[:-2] + (1, X.shape[-1]))], axis=-2)
-    return stacked_ranks(stacked_khatri_rao(A.astype(float), X), tol)
+    return rows * rows * _U
+
+
+def _gram_ratio_floor(rows: int, n: int, terms: int, tol: Tol) -> float:
+    """Smallest computed lambda_min / lambda_max of G = J^T J that proves the SVD rule counts rank n.
+
+    ``J`` has ``rows`` rows and ``n`` columns, and each entry of X^T X (X the
+    lifted inputs) is a dot product of ``terms`` terms.
+
+    - The SVD rule counts rank n whenever sigma_min / sigma_max > r =
+      rank_tol + eta (1 + rank_tol), with eta = ``_svd_slack(rows)``.
+    - Forming G: A^T A holds exact integer counts, each entry of X^T X is off
+      by at most gamma_terms |x_j| |x_k|, and the Hadamard product adds one
+      rounding, so ||dG||_2 <= gamma_(terms+1) trace(G) <= (terms+1) n u
+      lambda_max(G); doubled to absorb gamma's higher-order term and underflow.
+    - ``eigvalsh`` adds at most n^2 u lambda_max (as for ``_svd_slack``).
+
+    So every computed eigenvalue lies within eps lambda_max(G) of the exact
+    one, eps = (2 (terms+1) + n) n u, and a computed ratio above r^2 + 2 eps
+    proves lambda_min / lambda_max > r^2, that is sigma_min / sigma_max > r.
+    The floor is never below ``rank_tol`` itself: G squares the spectrum, so
+    a proved draw has a sigma ratio above sqrt(rank_tol), which leaves the
+    SVD rounding orders of magnitude of room.  At the default ``rank_tol``
+    that floor governs (sigma ratios above 3.2e-5); r^2 + 2 eps is 1.8e-13
+    on the C8 rank grid's largest cell (n = 16, terms = 17, rows = 170) and
+    governs only for ``rank_tol`` below about 1e-12.
+    """
+    eta = _svd_slack(rows)
+    eps = (2 * (terms + 1) + n) * n * _U
+    r = tol.rank_tol + eta * (1.0 + tol.rank_tol)
+    return max(tol.rank_tol, r * r + 2.0 * eps)
+
+
+def stacked_jacobian_full_rank(A: np.ndarray, X: np.ndarray, bias: bool, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+    """Whether each stacked pattern ``A`` (..., d1, n) on inputs ``X`` (..., d0, n) has a rank-n Jacobian.
+
+    Gives exactly the answer of ``jacobian_full_rank``'s rule (``linalg._rank``
+    of the Khatri-Rao matrix J, by SVD) on every draw; the inputs are trusted
+    (no validation).  Each draw is settled by the first rule that applies:
+
+    - J has d1 (d0 + bias) rows; fewer than n leave the whole stack short.
+    - A zero pattern column is a zero column of J, which the SVD cannot lift
+      over the threshold once ``rank_tol`` exceeds ``_svd_slack``.
+    - J^T J = (A^T A) o (X^T X) with X bias-lifted (the Gram identity of the
+      Khatri-Rao product; Kolda and Bader, SIAM Review 51, 2009).  Its
+      ``eigvalsh`` spectrum proves rank n when the ratio of the extreme
+      eigenvalues exceeds ``_gram_ratio_floor``.
+    - Every other draw, a non-finite Gram matrix included, is ranked by one
+      SVD of the Khatri-Rao matrices stacked over just those draws.
+    """
+    stack, (d1, n), d0 = A.shape[:-2], A.shape[-2:], X.shape[-2]
+    terms = d0 + bias
+    rows = d1 * terms
+    if rows < n:
+        return np.zeros(stack, dtype=bool)
+    A = A.reshape((-1, d1, n))
+    X = X.reshape((-1, d0, n))
+    full = np.zeros(A.shape[0], dtype=bool)
+    eta = _svd_slack(rows)
+    if tol.rank_tol * (1.0 - eta) > eta:
+        todo = np.flatnonzero(A.any(axis=1).all(axis=1))
+    else:
+        todo = np.arange(A.shape[0])
+    if not todo.size:
+        return full.reshape(stack)
+    Af, Xt = A[todo].astype(float), X[todo]
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = Xt.transpose(0, 2, 1) @ Xt
+        if bias:
+            G += 1.0
+        G *= Af.transpose(0, 2, 1) @ Af
+    G[~np.isfinite(G).all(axis=(1, 2))] = 0.0
+    lam = np.linalg.eigvalsh(G)
+    proved = (lam[:, -1] >= _GRAM_FLOOR) & (lam[:, 0] > _gram_ratio_floor(rows, n, terms, tol) * lam[:, -1])
+    full[todo[proved]] = True
+    rest = todo[~proved]
+    if rest.size:
+        Xh = X[rest]
+        if bias:
+            Xh = np.concatenate([Xh, np.ones((rest.size, 1, n))], axis=1)
+        full[rest] = stacked_ranks(stacked_khatri_rao(A[rest].astype(float), Xh), tol) == n
+    return full.reshape(stack)

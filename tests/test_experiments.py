@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -304,6 +305,37 @@ def test_read_grid_csv_rejects_garbage(tmp_path):
         read_grid_csv(path)
 
 
+_GOOD_ROW = "rank-grid,4,2,4,5,7,full_rank_fraction,0.4,0"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,abc,0", "must be a number"),
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,0.4", "expected 9 fields"),
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,0.4,0,9", "expected 9 fields"),
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,nan,0", "fraction in [0, 1]"),
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,inf,0", "fraction in [0, 1]"),
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,1.5,0", "fraction in [0, 1]"),
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,-0.1,0", "fraction in [0, 1]"),
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,0.4,-1", "resamples must be nonnegative"),
+        ("rank-grid,4,2,-4,5,7,full_rank_fraction,0.4,0", "n must be nonnegative"),
+        ("rank-grid,4,2,4,2.5,7,full_rank_fraction,0.4,0", "trials must be an integer"),
+        ("rank-grid,4,2,4,5,x,full_rank_fraction,0.4,0", "seed must be an integer"),
+        ("globalmin-grid,4,2,4,5,7,full_rank_fraction,0.4,0", "differ from the first row"),
+        ("rank-grid,4,2,4,5,7,zero_loss_fraction,0.4,0", "differ from the first row"),
+        ("rank-grid,4,2,4,5,8,full_rank_fraction,0.4,0", "differ from the first row"),
+    ],
+)
+def test_read_grid_csv_rejects_bad_rows(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n{_GOOD_ROW}\n{row}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(message)):
+        read_grid_csv(path)
+    path.write_text(f"{CSV_HEADER}\n{_GOOD_ROW}\n\n{_GOOD_ROW}\n", encoding="utf-8")
+    assert len(read_grid_csv(path).cells) == 2
+
+
 def _reference_draws(cfg, cell, ci, t, labels):
     """(pattern, X, y, params, attempt) of one trial, drawn by the public single-draw API.
 
@@ -397,6 +429,37 @@ def test_globalmin_block_matches_per_trial_loop(labels, bias, lp_tol):
         assert experiments._globalmin_block(cfg, cell, ci, range(4, 9)) == expected[4:9]
     assert (resamples > 0) == strict
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("bias, d0_rule", [(True, "n"), (True, "1"), (False, "n"), (False, "n/2")])
+def test_rank_grid_matches_per_trial_oracle_at_a_coarse_rank_tol(bias, d0_rule):
+    """At rank_tol = 0.3 many trials reach the SVD fallback; all match the per-trial SVD answers."""
+    cfg = ExperimentConfig(
+        n_values=(3, 6), d1_values=(1, 2, 4, 7), d0_rule=d0_rule, trials=40, seed=31, bias=bias, tol=Tol(rank_tol=0.3)
+    )
+    expected = [
+        sum(_rank_reference(cfg, cell, ci, t)[0] for t in range(cfg.trials)) / cfg.trials
+        for ci, cell in enumerate(cfg.cells())
+    ]
+    values = [c.value for c in run_rank_grid(cfg).cells]
+    assert values == expected
+    assert any(0.0 < v < 1.0 for v in values)
+
+
+def test_c8_rank_grid_runs_no_svd(monkeypatch):
+    """Every C8 draw is settled by a zero pattern column or by the Gram certificate."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    cfg = ExperimentConfig(n_values=(4, 8, 16), d1_values=tuple(range(1, 11)), d0_rule="n", trials=100, seed=108)
+    result = run_rank_grid(cfg)
+    assert len(calls) == 0
+    assert 0.0 < result.cells[0].value < result.cells[-1].value < 1.0
 
 
 def test_rank_block_size_bounds_stacked_jacobians():

@@ -17,7 +17,7 @@ from reluregions import (
     rational_rank,
 )
 from reluregions.errors import InputError
-from reluregions.model import stacked_jacobian_ranks, stacked_patterns
+from reluregions.model import stacked_jacobian_full_rank, stacked_patterns
 from reluregions.onedim import StepVector
 
 
@@ -241,7 +241,8 @@ def test_stacked_patterns_and_ranks_match_per_draw(bias):
         b[0, 1] = 0.0
     X[1, :, 2] = 0.0  # point 2 of draw 1 is on a boundary unless there is a bias
     A, degenerate = stacked_patterns(W, b, X, DEFAULT_TOL)
-    full = stacked_jacobian_ranks(A, X, bias) == n
+    full = stacked_jacobian_full_rank(A, X, bias)
+    assert full.shape == (9,) and full.dtype == bool
     for k in range(9):
         p = Params(W[k], None if b is None else b[k], np.where(np.arange(d1) % 2 == 0, 1.0, -1.0))
         pattern, flag = activation_pattern(p, X[k])
