@@ -435,10 +435,7 @@ def run_singularity_study(dims, trials: int, seed: int) -> GridResult:
     cells = []
     for di, d in enumerate(dims):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, di)))
-        singular = 0
-        for _ in range(trials):
-            M = rng.integers(0, 2, size=(d, d))
-            singular += int(binary_matrix_is_singular(M))
+        singular = sum(binary_matrix_is_singular(M) for M in rng.integers(0, 2, size=(trials, d, d)))
         cells.append(CellResult(n=d, d0=0, d1=d, trials=trials, value=singular / trials, resamples=0))
     return GridResult("singularity", "singular_fraction", seed, tuple(cells))
 
@@ -550,11 +547,11 @@ def _shade(value: float) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
-def grid_svg_text(result: GridResult, cell_px: int = 28) -> str:
+def grid_svg_text(result: GridResult) -> str:
     """Heatmap: n on the x-axis, d1 on the y-axis, one rect per cell."""
     ns = sorted({c.n for c in result.cells})
     d1s = sorted({c.d1 for c in result.cells})
-    left, top, right, bottom = 64, 34, 16, 46
+    left, top, right, bottom, cell_px = 64, 34, 16, 46, 28
     width = left + cell_px * len(ns) + right
     height = top + cell_px * len(d1s) + bottom
     xpos = {n: left + i * cell_px for i, n in enumerate(ns)}

@@ -49,15 +49,15 @@ class Polyline:
         p = as_vector(point, name="point")
         if p.shape[0] != self.n_points:
             raise InputError("point dimension mismatch")
-        if self.vertices.shape[0] == 1:
-            return float(np.linalg.norm(p - self.vertices[0]))
-        best = np.inf
-        for u, w in self.segments():
-            d = w - u
-            denom = float(d @ d)
-            s = 0.0 if denom == 0.0 else float(np.clip((p - u) @ d / denom, 0.0, 1.0))
-            best = min(best, float(np.linalg.norm(p - (u + s * d))))
-        return best
+        V = self.vertices
+        if V.shape[0] == 1:
+            return float(np.linalg.norm(p - V[0]))
+        # Project p onto every segment u + s d, s in [0, 1], at once.
+        d = V[1:] - V[:-1]
+        offset = p - V[:-1]
+        denom = np.sum(d * d, axis=1)
+        s = np.divide(np.sum(offset * d, axis=1), denom, out=np.zeros_like(denom), where=denom > 0.0)
+        return float(np.linalg.norm(offset - np.clip(s, 0.0, 1.0)[:, None] * d, axis=1).min())
 
 
 def relu_polyline(D: Sorted1D) -> Polyline:
@@ -70,18 +70,13 @@ def relu_polyline(D: Sorted1D) -> Polyline:
     n = D.n
     if n < 2:
         raise InputError("polyline needs at least two data points")
-    raw = []
-    # Prefix family: unit active on points before i, slope hinging down at x_i.
-    for i in range(1, n):
-        vec = np.zeros(n)
-        vec[: i + 1] = x[i] - x[: i + 1]
-        raw.append(vec)
-    # Suffix family: unit active on points after i, slope hinging up at x_i.
-    for i in range(0, n - 1):
-        vec = np.zeros(n)
-        vec[i:] = x[i:] - x[i]
-        raw.append(vec)
-    raw = np.stack(raw)
+    # Prefix family, one row per i = 1..n-1: unit active on points before i,
+    # slope hinging down at x_i.  Suffix family, one row per i = 0..n-2: unit
+    # active on points after i, slope hinging up at x_i.  On sorted data the
+    # clipped entries are exactly the ones outside each family's support.
+    prefix = np.maximum(x[1:, None] - x[None, :], 0.0)
+    suffix = np.maximum(x[None, :] - x[:-1, None], 0.0)
+    raw = np.concatenate([prefix, suffix])
     sums = raw.sum(axis=1)
     if np.any(sums <= 0.0):
         raise InputError("degenerate data: vanishing vertex encountered")

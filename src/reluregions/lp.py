@@ -2,17 +2,17 @@
 
 ``lp_max_margin`` solves
 
-    maximize t  subject to  G u >= t * 1,  t <= cap
+    maximize t  subject to  G u >= t * 1,  t <= 1
 
 with free variables ``u`` and ``t``.  The problem is always feasible (u = 0,
 t = 0), and the simplex starts from that point with every slack basic, so it
 needs no phase 1.  A positive optimum certifies a strictly feasible point of
 ``G u > 0``, which is how the package certifies membership in open
-polyhedral regions; the cone is scale-free, so that optimum is ``cap``.
+polyhedral regions; the cone is scale-free, so that optimum is the cap, 1.
 
 ``lp_positive_null`` solves the equality form of the same question,
 
-    maximize t  subject to  K z = 0,  z >= t * 1,  t <= cap,
+    maximize t  subject to  K z = 0,  z >= t * 1,  t <= 1,
 
 whose positive optimum certifies a strictly positive point of the null
 space of K (Stiemke's lemma gives the alternative).  It has one row per
@@ -23,7 +23,7 @@ picks one, drops the dependent rows of K, and the simplex starts there
 without a phase 1.  ``t`` is kept nonnegative, which loses nothing since
 z = 0 is feasible.
 
-The objective is bounded by construction (t <= cap), so a kernel report of
+The objective is bounded by construction (t <= 1), so a kernel report of
 "unbounded" can only mean a numerically null improving column slipped past
 the pricing threshold.  An LP that outlasts its iteration limit has drifted
 numerically the same way.  Either way the solve is rebuilt from scratch with
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvariantViolation
+from .errors import InvariantViolation
 from .linalg import as_matrix
 
 __all__ = ["MarginResult", "lp_max_margin", "lp_positive_null", "kernel_backend"]
@@ -168,7 +168,7 @@ class _NumericalTrouble(Exception):
     pass
 
 
-def _tableau(G, cap):
+def _tableau(G):
     """Condensed start tableau of the margin LP, with its basis and nonbasic maps."""
     m, k = G.shape
 
@@ -178,20 +178,20 @@ def _tableau(G, cap):
     tp = 2 * k
     T = np.zeros((m + 2, tp + 3))
 
-    # Margin rows  -G_i u + t + s_i = 0,  the cap row  t + sigma = cap, and
+    # Margin rows  -G_i u + t + s_i = 0,  the cap row  t + sigma = 1, and
     # the objective row: minimize -t+ + t-.  The start basis is all slack,
     # with zero cost, so the objective needs no pricing out.
     T[:m, 0:k] = -G
     T[:m, k:tp] = G
     T[: m + 1, tp] = 1.0
     T[: m + 1, tp + 1] = -1.0
-    T[m, tp + 2] = cap
+    T[m, tp + 2] = 1.0
     T[m + 1, tp] = -1.0
     T[m + 1, tp + 1] = 1.0
     return T, np.arange(tp + 2, tp + 3 + m), np.arange(tp + 2)
 
 
-def _null_tableau(K, cap):
+def _null_tableau(K):
     """Condensed start tableau of the positive-null LP on a crash basis, with its basis and nonbasic maps."""
     n, p = K.shape
 
@@ -220,7 +220,7 @@ def _null_tableau(K, cap):
 
     # Variables: the slacks s = z - t (p), t, then the cap slack.  Columns are
     # the nonbasic slacks, t (whose column B^-1 K 1 is the row sum) and the
-    # right-hand side; rows are the pivot rows, the cap row t + sigma = cap
+    # right-hand side; rows are the pivot rows, the cap row t + sigma = 1
     # and the objective row: minimize -t.  The start basis has zero cost.
     r = len(rows)
     is_basic = np.zeros(p, dtype=bool)
@@ -231,7 +231,7 @@ def _null_tableau(K, cap):
     T[:r, : p - r] = pivot_rows[:, nonbasic]
     T[:r, p - r] = pivot_rows.sum(axis=1)
     T[r, p - r] = 1.0
-    T[r, p - r + 1] = cap
+    T[r, p - r + 1] = 1.0
     T[r + 1, p - r] = -1.0
     return T, np.array(basic + [p + 1], dtype=int), np.append(nonbasic, p)
 
@@ -253,52 +253,49 @@ def _pivot_to_optimum(T, basis, nonbasic, eps):
     return x
 
 
-def _solve_once(G, cap, eps):
+def _solve_once(G, eps):
     k = G.shape[1]
-    x = _pivot_to_optimum(*_tableau(G, cap), eps)
+    x = _pivot_to_optimum(*_tableau(G), eps)
     return MarginResult(float(x[2 * k] - x[2 * k + 1]), x[0:k] - x[k : 2 * k])
 
 
-def _null_solve_once(K, cap, eps):
+def _null_solve_once(K, eps):
     p = K.shape[1]
-    x = _pivot_to_optimum(*_null_tableau(K, cap), eps)
+    x = _pivot_to_optimum(*_null_tableau(K), eps)
     return MarginResult(float(x[p]), x[:p] + x[p])
 
 
-def _escalated(solve_once, M, cap):
-    """``solve_once(M, cap, eps)``, retried with coarser pricing on numerical trouble."""
-    if not (cap > 0.0):
-        raise InputError(f"cap must be positive, got {cap!r}")
+def _escalated(solve_once, M):
+    """``solve_once(M, eps)``, retried with coarser pricing on numerical trouble."""
     eps = _PRICE_EPS
     for _ in range(3):
         try:
-            return solve_once(M, cap, eps)
+            return solve_once(M, eps)
         except _NumericalTrouble as trouble:
             last = trouble
             eps *= 100.0
     raise InvariantViolation(f"margin LP failed numerically after escalation: {last}")
 
 
-def lp_max_margin(G, cap: float = 1.0) -> MarginResult:
-    """Maximize the common margin t of ``G u >= t``, ``t <= cap``.
+def lp_max_margin(G) -> MarginResult:
+    """Maximize the common margin t of ``G u >= t``, ``t <= 1``.
 
-    The LP is always feasible (u = 0, t = 0), and ``cap`` must be positive
-    to keep the objective bounded.  G may have no columns: the optimum is
-    then 0, or ``cap`` when G has no rows either.  Rows of G are used as
-    given; callers wanting geometrically meaningful margins should
-    normalize them.
+    The LP is always feasible (u = 0, t = 0), and the cap keeps the
+    objective bounded.  G may have no columns: the optimum is then 0, or 1
+    when G has no rows either.  Rows of G are used as given; callers wanting
+    geometrically meaningful margins should normalize them.
     """
-    return _escalated(_solve_once, as_matrix(G, name="G"), cap)
+    return _escalated(_solve_once, as_matrix(G, name="G"))
 
 
-def lp_positive_null(K, cap: float = 1.0) -> MarginResult:
-    """Maximize t subject to ``K z = 0``, ``z >= t``, ``t <= cap``; the witness is z.
+def lp_positive_null(K) -> MarginResult:
+    """Maximize t subject to ``K z = 0``, ``z >= t``, ``t <= 1``; the witness is z.
 
-    The optimum is ``cap`` when K has a strictly positive null vector and 0
-    when it has none; a positive optimum's z is such a vector, with every
-    entry at least t.  K may have no rows (the optimum is ``cap``) or no
-    columns (``cap`` as well, with an empty witness).  Rows that the
-    elimination finds dependent, to within ``_PIVOT_TOL`` times the largest
-    entry of K, are dropped.
+    The optimum is 1 when K has a strictly positive null vector and 0 when
+    it has none; a positive optimum's z is such a vector, with every entry
+    at least t.  K may have no rows (the optimum is 1) or no columns (1 as
+    well, with an empty witness).  Rows that the elimination finds
+    dependent, to within ``_PIVOT_TOL`` times the largest entry of K, are
+    dropped.
     """
-    return _escalated(_null_solve_once, as_matrix(K, name="K"), cap)
+    return _escalated(_null_solve_once, as_matrix(K, name="K"))

@@ -16,6 +16,10 @@ finite matrix with one column per pattern column, and its columns are lifted
 to (x, 1) when the pattern carries a bias flag.  ``ActivationPattern`` and
 ``regions.UnitPattern`` share it.
 
+``_witness_fault`` is the one check of a witness, for the zero-loss report
+and the exact 1-d constructions alike: the pattern is realized with no
+entry ``on_boundary``, and ``Tol.misses`` accepts the residual.
+
 ``activation_pattern`` and ``jacobian_full_rank`` validate one draw;
 ``stacked_patterns`` and ``stacked_jacobian_full_rank`` give the same
 answers (``on_boundary``; rank n under ``linalg._rank``) on arrays with
@@ -238,6 +242,24 @@ def stacked_patterns(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, tol: To
     """
     pre = _preactivations(W, b, X)
     return (pre > 0.0).astype(np.int8), on_boundary(W, b, X, pre, tol)
+
+
+def _witness_fault(p: Params, A: np.ndarray, X: np.ndarray, y: np.ndarray | None, tol: Tol) -> str | None:
+    """Why ``p`` is not a witness of pattern ``A`` on trusted inputs ``X``, or None when it is.
+
+    A witness realizes the 0/1 matrix ``A`` with no entry flagged by
+    ``on_boundary`` and, given targets ``y``, has a residual norm that
+    ``Tol.misses`` accepts.  One preactivation pass answers both, with the
+    floats of ``activation_pattern`` and ``forward``.
+    """
+    pre = _preactivations(p.W, p.b, X)
+    if on_boundary(p.W, p.b, X, pre, tol) or not np.array_equal(pre > 0.0, A):
+        return "left the prescribed activation region"
+    if y is not None:
+        residual = float(np.linalg.norm(p.v @ np.maximum(pre, 0.0) - y))
+        if tol.misses(residual, y):
+            return f"missed its target: residual norm {residual:.3e}"
+    return None
 
 
 def activation_pattern(p: Params, X, tol: Tol = DEFAULT_TOL) -> tuple[ActivationPattern, bool]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, InvariantViolation
 from .linalg import DEFAULT_TOL, Tol, as_int, as_vector
-from .model import ActivationPattern, Params, activation_pattern, checked_head, forward, on_boundary
+from .model import ActivationPattern, Params, _witness_fault, checked_head, on_boundary
 
 __all__ = [
     "StepVector",
@@ -259,13 +259,6 @@ def _step_codes_on(A, D: Sorted1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return M, k, variant
 
 
-def _realizing(params: Params, M: np.ndarray, D: Sorted1D, tol: Tol, failure: str) -> Params:
-    realized, degenerate = activation_pattern(params, D.as_columns(), tol)
-    if degenerate or not np.array_equal(realized.A, M):
-        raise InvariantViolation(failure)
-    return params
-
-
 def witness_params_1d(A, D: Sorted1D, v=None, tol: Tol = DEFAULT_TOL) -> Params:
     """Parameters strictly realizing a step-row pattern on sorted 1-d data.
 
@@ -275,8 +268,10 @@ def witness_params_1d(A, D: Sorted1D, v=None, tol: Tol = DEFAULT_TOL) -> Params:
     """
     M, k, variant = _step_codes_on(A, D)
     w, b = _witness_rows(k, variant, D.x)
-    v = np.ones(M.shape[0]) if v is None else v
-    return _realizing(Params(w[:, None], b, v), M, D, tol, "witness construction failed its sign check")
+    params = Params(w[:, None], b, np.ones(M.shape[0]) if v is None else v)
+    if _witness_fault(params, M, D.as_columns(), None, tol):
+        raise InvariantViolation("witness construction failed its sign check")
+    return params
 
 
 def _hinge_eval(hinges, x: float) -> float:
@@ -357,10 +352,10 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
         w[i] = scale * hw
         b[i] = scale * hb
 
-    params = _realizing(Params(w[:, None], b, v), M, D, tol, "exact fit left the prescribed activation region")
-    residual = float(np.linalg.norm(forward(params, D.as_columns()) - y))
-    if tol.misses(residual, y):
-        raise InvariantViolation(f"exact fit missed its target: residual norm {residual:.3e}")
+    params = Params(w[:, None], b, v)
+    fault = _witness_fault(params, M, D.as_columns(), y, tol)
+    if fault:
+        raise InvariantViolation(f"exact fit {fault}")
     return params
 
 

@@ -18,9 +18,12 @@ these verdicts.  The LP takes one of two forms:
   the strictly positive combinations of its two extreme rays, so a zero-loss
   point exists exactly when y = F lambda with lambda > 0, F having one column
   per ray.  ``lp_positive_null`` decides it on n equality rows.  Its "yes"
-  witness is re-checked (pattern realized off every boundary, residual
-  within ``residual_tol``); one that fails the check falls back to the
-  margin form.
+  witness is re-checked by ``model._witness_fault`` (pattern realized off
+  every boundary, residual accepted by ``Tol.misses``).  When it fails, the
+  same LP over each wedge's bisector (one column per class) gives a more
+  central witness, checked the same way; when that fails too, the answer
+  is "no".  A region whose generator LP has run never reaches the margin
+  form.
 * Margin form, for every other input: one inequality row per (merged unit,
   data point) over a null-space basis of the design matrix, solved by
   ``lp_max_margin``.
@@ -43,7 +46,7 @@ from .linalg import (
     nullspace_basis,
 )
 from .lp import lp_max_margin, lp_positive_null
-from .model import ActivationPattern, Params, activation_pattern, checked_head, forward
+from .model import ActivationPattern, Params, _witness_fault, checked_head
 from .onedim import _step_codes
 
 __all__ = [
@@ -65,7 +68,9 @@ class RegionMinReport:
     exists), and ``margin`` the optimum of the homogeneous LP that decided
     the region, the generator LP for 1-d data with a bias and the margin LP
     otherwise: 1.0 (its cap) when the set meets the open region and 0.0
-    when it does not, up to roundoff.
+    when it does not, up to roundoff.  A margin of 1.0 with
+    ``contains_zero_loss`` False means the LP found the zero-loss set in
+    the open region but no float64 witness built from it passed the check.
     """
 
     contains_zero_loss: bool
@@ -135,9 +140,12 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
     point exactly when y = F lambda for some lambda > 0, F being n x 2C
     (one column per ray, classes inactive everywhere left out).  That is
     the n-row LP ``lp_positive_null([F, -y])``.  Its "yes" is returned only
-    when the witness built from lambda realizes A off every region boundary
-    and fits y within ``residual_tol``; otherwise, and for every other
-    input, the margin route below decides.
+    with a witness that realizes A off every region boundary and fits y
+    within ``residual_tol`` (``model._witness_fault``): the one built from
+    lambda, or else the one from the LP over the bisectors of the wedges
+    (both rays of a class weighted alike).  When neither passes, the report
+    is "no" at the generator LP's margin.  Every other input goes to the
+    margin route below.
 
     Margin route: the merged zero-loss set theta0 + span N meets the open
     region exactly when R N c + tau R theta0 / |theta0| > 0 has a solution
@@ -166,7 +174,11 @@ def _class_witness(theta: np.ndarray, label: np.ndarray, v: np.ndarray, bias: bo
 
 
 def _generator_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.ndarray, tol: Tol):
-    """The report of a pattern on 1-d data with a bias from the generator LP, or None to use the margin route."""
+    """The report of a pattern on 1-d data with a bias from the generator LP.
+
+    None for input the route does not take: fewer than two distinct points
+    or a row that is not a step vector.
+    """
     x = Xh[0]
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -203,22 +215,28 @@ def _generator_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np
         return RegionMinReport(False, None, None, float("-inf"))
     solution_dim = 2 * A.d1 - rank
 
-    result = lp_positive_null(np.column_stack([F, -ys]), cap=1.0)
-    if result.t <= tol.lp_tol:
-        return RegionMinReport(False, None, solution_dim, result.t)
-    # A class inactive everywhere is not in F; lambda = 1 on both of its rays
-    # puts it strictly inside its cone.
-    lam = np.ones(sigma.shape)
-    lam[active] = (result.witness[:-1] / result.witness[-1]).reshape(-1, 2)
-    weights = lam * sigma
-    theta = np.column_stack([weights.sum(axis=1), -(weights * xs[anchors]).sum(axis=1)])
-    witness = _class_witness(theta, label, v, bias=True)
-    X = Xh[:1]
-    realized, degenerate = activation_pattern(witness, X, tol)
-    residual = float(np.linalg.norm(forward(witness, X) - y))
-    if degenerate or not np.array_equal(realized.A, A.A) or tol.misses(residual, y):
-        return None
-    return RegionMinReport(True, witness, solution_dim, result.t)
+    def solve(columns, per_class):
+        """The LP's margin over ``columns`` (``per_class`` per active class), and its witness if it passes the check."""
+        result = lp_positive_null(np.column_stack([columns, -ys]))
+        if result.t <= tol.lp_tol:
+            return result.t, None
+        # A class inactive everywhere is not in F; lambda = 1 on both of its
+        # rays puts it strictly inside its cone.
+        lam = np.ones(sigma.shape)
+        lam[active] = (result.witness[:-1] / result.witness[-1]).reshape(-1, per_class)
+        weights = lam * sigma
+        theta = np.column_stack([weights.sum(axis=1), -(weights * xs[anchors]).sum(axis=1)])
+        witness = _class_witness(theta, label, v, bias=True)
+        return result.t, None if _witness_fault(witness, A.A, Xh[:1], y, tol) else witness
+
+    margin, witness = solve(F, 2)
+    if margin > tol.lp_tol and witness is None:
+        # A vertex of the generator LP can put a hinge within lp_tol of a data
+        # point, or need weights whose rounding misses y.  The LP over each
+        # wedge's bisector (both rays of a class weighted alike) asks for a
+        # central point of the same zero-loss set instead.
+        witness = solve(F[:, 0::2] + F[:, 1::2], 1)[1]
+    return RegionMinReport(witness is not None, witness, solution_dim, margin)
 
 
 def _margin_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.ndarray, tol: Tol) -> RegionMinReport:
@@ -245,7 +263,7 @@ def _margin_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.nd
     G = normalize_rows(rows.reshape(C * n, cols.shape[1]))
     if scale > 0.0:
         G = np.vstack([G, np.eye(1, q + 1, q)])
-    result = lp_max_margin(G, cap=1.0)
+    result = lp_max_margin(G)
     margin = result.t
     if margin <= tol.lp_tol:
         return RegionMinReport(False, None, solution_dim, margin)

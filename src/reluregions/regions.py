@@ -3,14 +3,17 @@
 A unit's candidate pattern is a binary vector over the data points; the
 pattern is realizable exactly when the open cone
 ``{ w : (2 a_j - 1) <w, xhat_j> > 0 for all j }`` is non-empty, which is
-decided by a margin LP.  Units have independent parameters, so a pattern
+decided by a margin LP (``lp_max_margin``, capped at 1, so a margin above
+``lp_tol`` is a yes).  Units have independent parameters, so a pattern
 matrix is realizable iff each of its rows is.  Per-unit patterns are
 enumerated by extending realizable prefixes (every prefix of one is
 realizable) with one LP per realizable prefix: the parent's witness decides
 the other child (incremental cell enumeration, Rada and Cerny, SIAM J.
 Discrete Math. 32, 2018).  For data in general position their number follows
-the hyperplane-arrangement count.  They are also the vertex labels of the
-zonotope sum_j [0, x_j]; both routes are tested together.
+the hyperplane-arrangement count; on one-dimensional data with a bias and
+distinct points they are the 2n one-switch step vectors (``onedim``), which
+the enumeration lists without any LP.  They are also the vertex labels of
+the zonotope sum_j [0, x_j]; both routes are tested together.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def unit_pattern_feasible(u: UnitPattern, X, tol: Tol = DEFAULT_TOL) -> Feasibil
     """
     Xh = UnitPattern.lift(u, X)
     signs = 2.0 * np.asarray(u.a, dtype=float) - 1.0
-    result = lp_max_margin(normalize_rows(signs[:, None] * Xh.T), cap=1.0)
+    result = lp_max_margin(normalize_rows(signs[:, None] * Xh.T))
     margin = result.t
     if margin <= tol.lp_tol:
         return FeasibilityCert(False, None, margin)
@@ -121,9 +124,7 @@ def region_nonempty(A: ActivationPattern, X, tol: Tol = DEFAULT_TOL) -> bool:
     return all(unit_pattern_feasible(UnitPattern(tuple(row)), Xh, tol).feasible for row in A.A)
 
 
-def enumerate_feasible_unit_patterns(
-    X, bias: bool = False, tol: Tol = DEFAULT_TOL, use_fast_path: bool = True
-) -> list[UnitPattern]:
+def enumerate_feasible_unit_patterns(X, bias: bool = False, tol: Tol = DEFAULT_TOL) -> list[UnitPattern]:
     """All realizable per-unit patterns, in lexicographic order.
 
     Breadth-first prefix search: each realizable pattern on the first j
@@ -134,9 +135,9 @@ def enumerate_feasible_unit_patterns(
     child needs an LP: one LP per realizable prefix.  Both children need one
     at the first point and when |s| <= ``lp_tol``.  Refused when Cover's
     bound on the count, valid for any data, exceeds
-    ``MAX_ENUMERATED_PATTERNS``.  With a bias on one-dimensional data a
-    sorted fast path returns the one-switch threshold patterns without any
-    LP; ``use_fast_path=False`` forces the LP route.
+    ``MAX_ENUMERATED_PATTERNS``.  With a bias on one-dimensional data with
+    distinct points a sorted fast path returns the one-switch threshold
+    patterns without any LP (``_prefix_search`` is the LP route).
     """
     X = as_matrix(X, name="X")
     n = X.shape[1]
@@ -144,7 +145,7 @@ def enumerate_feasible_unit_patterns(
     if bound > MAX_ENUMERATED_PATTERNS:
         raise InputError(f"Cover's bound of {bound} patterns exceeds {MAX_ENUMERATED_PATTERNS}")
 
-    if use_fast_path and bias and X.shape[0] == 1:
+    if bias and X.shape[0] == 1:
         x = X[0]
         if len(set(x.tolist())) == n:
             patterns = np.empty((2 * n, n), dtype=np.int8)
@@ -175,7 +176,7 @@ def _prefix_search(X: np.ndarray, bias: bool, tol: Tol) -> list[tuple[tuple, np.
                     extended.append((a, u))
                     continue
                 signs = 2.0 * np.asarray(a, dtype=float) - 1.0
-                result = lp_max_margin(signs[:, None] * rows[: j + 1], cap=1.0)
+                result = lp_max_margin(signs[:, None] * rows[: j + 1])
                 if result.t > tol.lp_tol:
                     extended.append((a, result.witness))
         level = extended

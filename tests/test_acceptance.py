@@ -10,6 +10,7 @@ from math import ceil, exp, lgamma, log, log1p
 import numpy as np
 
 from reluregions import (
+    DEFAULT_TOL,
     ActivationPattern,
     Sorted1D,
     UnitPattern,
@@ -37,6 +38,7 @@ from reluregions import (
 )
 from reluregions.experiments import ExperimentConfig, grid_csv_text
 from reluregions.model import Dataset
+from reluregions.regions import _prefix_search
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -64,10 +66,7 @@ def test_c01_step_vector_law():
         expected = {tuple(sv.values()) for sv in all_step_vectors(n)}
         for _ in range(5):
             x = _sorted_x(rng, n)[None, :]
-            got = {
-                u.a
-                for u in enumerate_feasible_unit_patterns(x, bias=True, use_fast_path=False)
-            }
+            got = {a for a, _ in _prefix_search(x, True, DEFAULT_TOL)}
             datasets += 1
             if got != expected:
                 mismatches += 1

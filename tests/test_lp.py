@@ -23,12 +23,12 @@ def kernel_entry(request, monkeypatch):
 
 
 def test_opposing_rows_pin_margin_at_zero(kernel_entry):
-    r = lp_max_margin(np.array([[1.0], [-1.0]]), cap=1.0)
+    r = lp_max_margin(np.array([[1.0], [-1.0]]))
     assert r.t == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_row_hits_cap(kernel_entry):
-    r = lp_max_margin(np.array([[1.0]]), cap=1.0)
+    r = lp_max_margin(np.array([[1.0]]))
     assert r.t == pytest.approx(1.0, abs=1e-9)
     assert r.witness[0] >= 1.0 - 1e-9
 
@@ -38,7 +38,7 @@ def test_midpoint_pattern_is_strictly_feasible(kernel_entry):
     x = np.array([1.0, 2.0, 3.0])
     a = np.array([0.0, 1.0, 1.0])
     G = normalize_rows((2 * a - 1)[:, None] * np.column_stack([x, np.ones(3)]))
-    r = lp_max_margin(G, cap=1.0)
+    r = lp_max_margin(G)
     assert r.t > 1e-7
     w, b = r.witness
     assert np.array_equal(w * x + b > 0, a.astype(bool))
@@ -48,7 +48,7 @@ def test_no_free_columns_gives_zero(kernel_entry):
     # Without columns every margin row reads 0 >= t; with no rows either,
     # only the cap binds.
     for m, expected in ((1, 0.0), (3, 0.0), (0, 1.0)):
-        r = lp_max_margin(np.zeros((m, 0)), cap=1.0)
+        r = lp_max_margin(np.zeros((m, 0)))
         assert r.t == pytest.approx(expected, abs=1e-12)
         assert r.witness.shape == (0,)
 
@@ -59,7 +59,7 @@ def test_witness_satisfies_constraints(kernel_entry):
         m = int(rng.integers(1, 8))
         k = int(rng.integers(1, 5))
         G = normalize_rows(rng.standard_normal((m, k)))
-        r = lp_max_margin(G, cap=1.0)
+        r = lp_max_margin(G)
         assert np.all(G @ r.witness >= r.t - 1e-8)
         assert r.t <= 1.0 + 1e-9
 
@@ -83,7 +83,7 @@ def test_strict_feasibility_matches_sampling_oracle():
         k = int(rng.integers(1, 5))
         m = int(rng.integers(1, 7))
         G = normalize_rows(rng.standard_normal((m, k)))
-        r = lp_max_margin(G, cap=1.0)
+        r = lp_max_margin(G)
         sampled = _sampled_margin(G, seed=case)
         if sampled > 1e-7:
             # brute force found a strictly feasible point: the LP must agree
@@ -110,7 +110,7 @@ def test_optimum_matches_highs():
         m = int(rng.integers(1, 30))
         k = int(rng.integers(0, 7))
         G = rng.standard_normal((m, k))
-        r = lp_max_margin(G, cap=1.0)
+        r = lp_max_margin(G)
         assert np.all(G @ r.witness >= r.t - 1e-8)
         highs = scipy_optimize.linprog(
             c=np.r_[np.zeros(k), -1.0],
@@ -125,13 +125,11 @@ def test_optimum_matches_highs():
 
 def test_degenerate_duplicate_rows_terminate(kernel_entry):
     G = normalize_rows(np.array([[1.0, 1.0]] * 40 + [[-1.0, 1.0]] * 40 + [[0.5, -1.0]] * 40))
-    r = lp_max_margin(G, cap=1.0)
+    r = lp_max_margin(G)
     assert np.all(G @ r.witness >= r.t - 1e-8)
 
 
 def test_input_validation():
-    with pytest.raises(InputError):
-        lp_max_margin(np.array([[1.0]]), cap=0.0)
     with pytest.raises(InputError):
         lp_max_margin(np.array([[1.0], [np.inf]]))
     with pytest.raises(InputError):
@@ -146,13 +144,13 @@ def test_iteration_limit_retries_with_coarser_pricing(monkeypatch):
         return lp.ITERATION_LIMIT if len(seen) == 1 else lp.simplex_loop(T, basis, eps, *rest)
 
     monkeypatch.setitem(lp._KERNELS, "python", stalls_first)
-    r = lp_max_margin(np.array([[1.0], [0.5]]), cap=1.0)
+    r = lp_max_margin(np.array([[1.0], [0.5]]))
     assert r.t == pytest.approx(1.0, abs=1e-9)
     assert seen == pytest.approx([1e-9, 1e-7])
 
     monkeypatch.setitem(lp._KERNELS, "python", lambda *args: lp.ITERATION_LIMIT)
     with pytest.raises(InvariantViolation):
-        lp_max_margin(np.array([[1.0]]), cap=1.0)
+        lp_max_margin(np.array([[1.0]]))
 
 
 def test_kernel_receives_condensed_tableau_and_pricing_eps(monkeypatch):
@@ -167,7 +165,7 @@ def test_kernel_receives_condensed_tableau_and_pricing_eps(monkeypatch):
 
     monkeypatch.setitem(lp._KERNELS, "python", recording)
     for m, k in ((5, 3), (1, 0), (0, 0), (12, 7)):
-        lp_max_margin(np.random.default_rng(m + k).standard_normal((m, k)), cap=1.0)
+        lp_max_margin(np.random.default_rng(m + k).standard_normal((m, k)))
         assert seen.pop() == ((m + 2, 2 * k + 3), lp._PRICE_EPS)
 
 
@@ -233,7 +231,7 @@ def _full_simplex_loop(T, basis, eps, piv_tol, max_iter, stall_limit):
     return lp.ITERATION_LIMIT, pivots, col_ties, row_ties
 
 
-def _full_tableau(G, cap):
+def _full_tableau(G):
     """Full start tableau: u+ (k), u- (k), t+, t-, margin slacks (m), cap slack, rhs."""
     m, k = G.shape
     tp, tm, s0 = 2 * k, 2 * k + 1, 2 * k + 2
@@ -247,7 +245,7 @@ def _full_tableau(G, cap):
     T[m, tp] = 1.0
     T[m, tm] = -1.0
     T[m, sigma] = 1.0
-    T[m, sigma + 1] = cap
+    T[m, sigma + 1] = 1.0
     T[m + 1, tp] = -1.0
     T[m + 1, tm] = 1.0
     basis = np.arange(s0, sigma + 1)
@@ -256,17 +254,17 @@ def _full_tableau(G, cap):
     return T, basis
 
 
-def _assert_kernels_agree(G, cap=1.0, eps=lp._PRICE_EPS, piv_tol=lp._PIVOT_TOL, max_iter=None, stall_limit=None):
+def _assert_kernels_agree(G, eps=lp._PRICE_EPS, piv_tol=lp._PIVOT_TOL, max_iter=None, stall_limit=None):
     """Run both kernels on the margin LP of G; returns the oracle's (status, pivots, column ties, row ties)."""
     m, k = G.shape
     as_solved = (piv_tol, max_iter, stall_limit) == (lp._PIVOT_TOL, None, None)
     stall_limit = 1000 + 2 * (m + 1) if stall_limit is None else stall_limit
     max_iter = 4 * stall_limit if max_iter is None else max_iter
-    F, full_basis = _full_tableau(G, cap)
+    F, full_basis = _full_tableau(G)
     outcome = _full_simplex_loop(F, full_basis, eps, piv_tol, max_iter, stall_limit)
     status, pivots = outcome[:2]
 
-    T, basis, nonbasic = lp._tableau(G, cap)
+    T, basis, nonbasic = lp._tableau(G)
     assert T.shape == (m + 2, 2 * k + 3)
     assert lp.simplex_loop(T, basis, eps, piv_tol, max_iter, stall_limit, nonbasic) == status
     # Same basis, and every condensed column holds the same floats as the
@@ -277,14 +275,14 @@ def _assert_kernels_agree(G, cap=1.0, eps=lp._PRICE_EPS, piv_tol=lp._PIVOT_TOL, 
     assert T[:, -1].tobytes() == F[:, -1].tobytes()
     # Same pivot count: one pivot fewer than it took, it has not finished.
     if status != lp.ITERATION_LIMIT:
-        T, basis, nonbasic = lp._tableau(G, cap)
+        T, basis, nonbasic = lp._tableau(G)
         assert lp.simplex_loop(T, basis, eps, piv_tol, pivots, stall_limit, nonbasic) == lp.ITERATION_LIMIT
 
     # With the solver's own limits, the solve reads the same (t, witness) bytes.
     if as_solved and status == lp.OPTIMAL:
         x = np.zeros(F.shape[1] - 1)
         x[full_basis] = F[:-1, -1]
-        r = lp._solve_once(G, cap, eps)
+        r = lp._solve_once(G, eps)
         assert np.float64(r.t).tobytes() == np.float64(x[2 * k] - x[2 * k + 1]).tobytes()
         assert r.witness.tobytes() == (x[0:k] - x[k : 2 * k]).tobytes()
     return outcome
@@ -303,8 +301,7 @@ def test_condensed_kernel_matches_full_tableau_on_tied_lps():
             G = G[rng.integers(0, m, 2 * m)]
         if case % 4 == 0:
             G = normalize_rows(G + (G == 0).all(axis=1, keepdims=True))
-        cap = float(rng.choice([1.0, 2.0, 0.5]))
-        status, _, c, r = _assert_kernels_agree(G, cap)
+        status, _, c, r = _assert_kernels_agree(G)
         optimal += status == lp.OPTIMAL
         col_ties += c
         row_ties += r
@@ -345,10 +342,10 @@ def test_condensed_kernel_matches_full_tableau_when_unbounded_or_cut_short():
     assert _assert_kernels_agree(np.zeros((0, 2)))[:2] == (lp.OPTIMAL, 1)
 
 
-def _assert_null_kernels_agree(K, cap=1.0):
+def _assert_null_kernels_agree(K):
     """Check the crash start of the positive-null LP of K and pivot it with both kernels; returns the pivot count."""
     n, p = K.shape
-    T, basis, nonbasic = lp._null_tableau(K, cap)
+    T, basis, nonbasic = lp._null_tableau(K)
     r = basis.size - 1
     assert T.shape == (r + 2, p - r + 2)
     assert np.array_equal(np.sort(np.r_[basis, nonbasic]), np.arange(p + 2))
@@ -361,7 +358,7 @@ def _assert_null_kernels_agree(K, cap=1.0):
     expected = np.linalg.lstsq(B, np.column_stack([K[:, nonbasic[:-1]], K.sum(axis=1)]), rcond=None)[0]
     assert np.allclose(T[:r, :-1], expected, atol=1e-9 * (1.0 + np.abs(expected).max(initial=0.0)))
     assert not T[:r, -1].any()
-    assert np.array_equal(T[r:], [np.eye(1, p - r + 2, p - r).ravel() + np.eye(1, p - r + 2, p - r + 1).ravel() * cap,
+    assert np.array_equal(T[r:], [np.eye(1, p - r + 2, p - r).ravel() + np.eye(1, p - r + 2, p - r + 1).ravel(),
                                   -np.eye(1, p - r + 2, p - r).ravel()])
 
     # The same start as a full tableau (an identity column per basic
@@ -378,7 +375,7 @@ def _assert_null_kernels_agree(K, cap=1.0):
 
     x = np.zeros(p + 2)
     x[full_basis] = F[:-1, -1]
-    result = lp._null_solve_once(K, cap, lp._PRICE_EPS)
+    result = lp._null_solve_once(K, lp._PRICE_EPS)
     assert np.float64(result.t).tobytes() == np.float64(x[p]).tobytes()
     assert result.witness.tobytes() == (x[:p] + x[p]).tobytes()
     return pivots
@@ -393,9 +390,9 @@ def test_condensed_kernel_matches_full_tableau_on_c10_lps(monkeypatch):
     margin_lps, null_lps = [], []
 
     def recording(log, solve):
-        def record(M, cap):
+        def record(M):
             log.append(M)
-            return solve(M, cap=cap)
+            return solve(M)
 
         return record
 
@@ -424,8 +421,8 @@ def test_positive_null_start_matches_full_tableau():
         K = rng.integers(-2, 3, (n, p)).astype(float)
         if case % 3 == 0 and n > 1:
             K[-1] = 2.0 * K[0] - K[:-1].sum(axis=0)  # a dependent row
-        dropped += lp._null_tableau(K, 1.0)[1].size - 1 < n
-        _assert_null_kernels_agree(K, cap=float(rng.choice([1.0, 2.0])))
+        dropped += lp._null_tableau(K)[1].size - 1 < n
+        _assert_null_kernels_agree(K)
     assert dropped >= 50
 
 
@@ -436,11 +433,9 @@ def test_positive_null_edge_shapes():
         assert r.t == pytest.approx(t, abs=1e-12)
         assert r.witness.shape == (K.shape[1],)
         assert np.all(r.witness >= r.t - 1e-12)
-    r = lp_positive_null(np.array([[1.0, -2.0, 1.0]]), cap=0.5)
-    assert r.t == pytest.approx(0.5, abs=1e-12)
+    r = lp_positive_null(np.array([[1.0, -2.0, 1.0]]))
+    assert r.t == pytest.approx(1.0, abs=1e-12)
     assert r.witness @ [1.0, -2.0, 1.0] == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(InputError):
-        lp_positive_null(np.array([[1.0]]), cap=0.0)
     with pytest.raises(InputError):
         lp_positive_null(np.array([[np.nan]]))
     with pytest.raises(InputError):

@@ -1,4 +1,4 @@
-"""Property tests of the Gram certificate of full Jacobian rank (needs hypothesis).
+"""Property tests of the Gram certificate of full Jacobian rank and of the witness check (needs hypothesis).
 
 ``stacked_jacobian_full_rank`` settles most draws without an SVD: too few
 rows or a zero pattern column prove rank deficiency, and the spectrum of
@@ -7,6 +7,10 @@ SVD rule on the stacked Khatri-Rao matrices, also on stacks built to sit
 near the threshold: duplicate columns, and columns that differ by 1e-3 to
 1e-12 of a random direction.  At ``rank_tol`` = 1e-16 the stated rounding
 bound, not ``rank_tol``, sets the certificate's floor.
+
+``_witness_fault`` must answer as ``activation_pattern``, ``forward`` and
+``Tol.misses`` do together, also on preactivations placed around the
+``lp_tol`` boundary band and residuals placed around the zero-loss bound.
 """
 
 import warnings
@@ -20,7 +24,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from reluregions.linalg import DEFAULT_TOL, Tol, stacked_khatri_rao, stacked_ranks  # noqa: E402
-from reluregions.model import stacked_jacobian_full_rank  # noqa: E402
+from reluregions.model import (  # noqa: E402
+    Params,
+    _witness_fault,
+    activation_pattern,
+    forward,
+    stacked_jacobian_full_rank,
+)
 
 
 def _svd_rule(A, X, bias, tol):
@@ -129,3 +139,57 @@ def test_tiny_rank_tol_sends_zero_columns_to_the_svd(monkeypatch):
     calls = _counting_svd(monkeypatch)
     assert stacked_jacobian_full_rank(A, X, True, tol).tolist() == expected.tolist()
     assert len(calls) == 1 and calls[0][0] == 1
+
+
+@st.composite
+def witness_cases(draw):
+    """(params, pattern, X, y, tol): preactivations and residuals placed around the check's two bounds."""
+    n = draw(st.integers(1, 6))
+    d0 = draw(st.integers(1, 3))
+    d1 = draw(st.integers(1, 5))
+    bias = draw(st.booleans())
+    tol = draw(st.sampled_from([DEFAULT_TOL, Tol(lp_tol=1e-3, residual_tol=1e-4)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((d0, n))
+    W = rng.standard_normal((d1, d0))
+    b = rng.standard_normal(d1) if bias else None
+    v = rng.choice([-1.0, 1.0], d1) * rng.uniform(0.5, 2.0, d1)
+    # Move one preactivation to a multiple of its boundary band lp_tol * scale.
+    i, j = int(rng.integers(d1)), int(rng.integers(n))
+    if draw(st.booleans()):
+        x = X[:, j]
+        row = np.sqrt(W[i] @ W[i] + (b[i] ** 2 if bias else 0.0))
+        col = np.sqrt(x @ x + (1.0 if bias else 0.0))
+        target = draw(st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0, -1.001])) * tol.lp_tol * row * col
+        pre = W[i] @ x + (b[i] if bias else 0.0)
+        if bias:
+            b[i] += target - pre
+        else:
+            W[i] += (target - pre) * x / (x @ x)
+    p = Params(W, b, v)
+    A = (W @ X + (b[:, None] if bias else 0.0) > 0.0).astype(np.int8)
+    if draw(st.booleans()):
+        A[i, j] ^= 1
+    y = None
+    if draw(st.booleans()):
+        out = forward(p, X)
+        # A residual of a multiple of the zero-loss bound, at one point.
+        y = out.copy()
+        y[j] -= draw(st.sampled_from([0.0, 0.5, 0.999, 1.001, 3.0])) * tol.residual_tol * (1.0 + np.linalg.norm(out))
+        if draw(st.booleans()):
+            y = rng.standard_normal(n)
+    return p, A, X, y, tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(witness_cases())
+def test_witness_fault_matches_pattern_forward_and_misses(case):
+    p, A, X, y, tol = case
+    realized, degenerate = activation_pattern(p, X, tol)
+    fault = _witness_fault(p, A, X, y, tol)
+    if degenerate or not np.array_equal(realized.A, A):
+        assert fault == "left the prescribed activation region"
+    elif y is not None and tol.misses(float(np.linalg.norm(forward(p, X) - y)), y):
+        assert fault.startswith("missed its target: residual norm ")
+    else:
+        assert fault is None

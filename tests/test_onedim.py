@@ -220,8 +220,9 @@ def test_fit_self_check_bounds_the_residual_norm(monkeypatch):
     v = _alternating(6)
     A = np.array([[1, 1, 1], [1, 1, 1], [0, 1, 1], [0, 1, 1], [0, 0, 1], [0, 0, 1]])
     fit_exact_1d(A, data, v)
-    exact_forward = onedim.forward
-    monkeypatch.setattr(onedim, "forward", lambda p, X: exact_forward(p, X) + np.array([1e-6, 0.0, 0.0]))
+    # The check sees the fit's output 1e-6 above its target at the first point.
+    check = onedim._witness_fault
+    monkeypatch.setattr(onedim, "_witness_fault", lambda p, A, X, y, tol: check(p, A, X, y - [1e-6, 0.0, 0.0], tol))
     with pytest.raises(InvariantViolation, match="residual norm"):
         fit_exact_1d(A, data, v)
 

@@ -265,14 +265,17 @@ def _uncollapsed_lp(A, X, y, v, tol=DEFAULT_TOL):
 
 
 def _assert_matches_oracle(A, X, y, v):
+    """The report's LP decides as the uncollapsed margin LP does, and its every "yes" witness passes the check."""
     report = region_global_min_report(A, X, y, v)
     lp_form = _uncollapsed_lp(A, X, y, v)
     if lp_form is None:
         assert not report.contains_zero_loss and report.solution_dim is None
         return report
     G, N = lp_form
-    assert report.contains_zero_loss == (lp_max_margin(G, cap=1.0).t > DEFAULT_TOL.lp_tol)
+    assert (report.margin > DEFAULT_TOL.lp_tol) == (lp_max_margin(G).t > DEFAULT_TOL.lp_tol)
     assert report.solution_dim == N.shape[1]
+    if report.contains_zero_loss:
+        assert _zero_loss_fit(report.witness, A, X, y)
     return report
 
 
@@ -355,13 +358,36 @@ def test_hard_c10_trial_decided_quickly(seed):
 
 
 def test_collapsed_report_matches_uncollapsed_oracle_on_c10():
-    # 146100026 trial 1 has two points 7.8e-7 apart; both forms answer yes.
+    # 146100026 trial 1 has two points 7.8e-7 apart; both forms find the
+    # zero-loss set in the open region.
     cases = [(seed, 1) for seed in (*HARD_C10_SEEDS, 146100026)]
     cases += [(700000 + i, t) for i in range(20) for t in (0, 1)]
     verdicts = set()
     for seed, trial in cases:
         verdicts.add(_assert_matches_oracle(*_c10_region(seed, trial)).contains_zero_loss)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed,trial", [(146100026, 1), (500781, 0), (9004, 736)])
+def test_near_coincident_c10_yes_is_witnessed_by_the_bisector_lp(monkeypatch, seed, trial):
+    # Two data points 7.7e-7 (146100026), 3.8e-8 (500781) and 6.5e-7 (9004)
+    # apart.  The generator LP finds the zero-loss set in the open region,
+    # but the witness built from its vertex fails the check: the first two
+    # used to be answered "yes" with that witness, whose residual exceeds
+    # residual_tol, and the third "yes" by the margin LP.  The LP over the
+    # wedges' bisectors gives a witness that passes, and the margin route
+    # is never solved.
+    A, X, y, v = _c10_region(seed, trial)
+    solves = []
+    null = optimize.lp_positive_null
+    monkeypatch.setattr(optimize, "lp_positive_null", lambda K: solves.append(K.shape[1]) or null(K))
+    monkeypatch.setattr(optimize, "_margin_report", None)
+    report = region_global_min_report(A, X, y, v)
+    # One column per ray, then one per class, each with the column -y.
+    [rays, classes] = solves
+    assert rays - 1 == 2 * (classes - 1)
+    assert report.contains_zero_loss and report.margin > DEFAULT_TOL.lp_tol
+    assert _zero_loss_fit(report.witness, A, X, y)
 
 
 @pytest.mark.parametrize("d0,bias,unit_v", [(1, True, True), (2, True, False), (2, False, True), (1, True, False)])
@@ -445,7 +471,7 @@ def test_drifting_margin_lp_retries_instead_of_spinning(monkeypatch):
     assert G.shape == (466, 182)
     monkeypatch.setitem(lp._KERNELS, "python", counted)
     start = time.perf_counter()
-    result = lp_max_margin(G, cap=1.0)
+    result = lp_max_margin(G)
     assert time.perf_counter() - start < 10.0
     assert kernel_calls == [lp._PRICE_EPS]
     assert result.t == pytest.approx(1.0, abs=1e-6)
@@ -483,7 +509,7 @@ def test_report_passes_g_as_only_positional_argument(monkeypatch):
     report = region_global_min_report(A, X, forward(p, X), p.v)
     assert report.contains_zero_loss
     [(args, kwargs)] = calls
-    assert len(args) == 1 and sorted(kwargs) == ["cap"]
+    assert len(args) == 1 and not kwargs
 
 
 def _margin_route(A, X, y, v, tol=DEFAULT_TOL):
@@ -589,19 +615,31 @@ def test_generator_lp_falls_back_to_margin_route(monkeypatch):
     X = _sorted_x(rng, n)[None, :]
     y = rng.uniform(-1.0, 1.0, n)
     solves = []
+    margin_reports = []
 
-    def bogus_yes(K, cap):
+    def bogus_yes(K):
         solves.append(K.shape)
-        return lp.MarginResult(cap, np.ones(K.shape[1]))
+        return lp.MarginResult(1.0, np.ones(K.shape[1]))
 
-    # A "yes" whose witness misses the targets is never returned: the
-    # margin route decides instead.
+    def counted_margin_report(*args):
+        margin_reports.append(args)
+        return margin_report(*args)
+
+    # A "yes" whose witness misses the targets is never returned, and the
+    # margin route does not decide the region again: after the bisector LP's
+    # witness fails as well, the report reads "no" at the generator LP's
+    # margin.
+    margin_report = optimize._margin_report
     monkeypatch.setattr(optimize, "lp_positive_null", bogus_yes)
+    monkeypatch.setattr(optimize, "_margin_report", counted_margin_report)
     report = region_global_min_report(A, X, y, v)
-    assert solves == [(n, 2 * len(optimize._unit_classes(A.A, v)[1]) + 1)]
-    general = _margin_route(A, X, y, v)
-    assert report.contains_zero_loss and _zero_loss_fit(report.witness, A, X, y)
-    assert report.witness.W.tobytes() + report.witness.b.tobytes() == general.witness.W.tobytes() + general.witness.b.tobytes()
+    classes = len(optimize._unit_classes(A.A, v)[1])
+    assert solves == [(n, 2 * classes + 1), (n, classes + 1)]
+    assert margin_reports == []
+    general = margin_report(A, ActivationPattern.lift(A, X), y, v, DEFAULT_TOL)
+    assert general.contains_zero_loss
+    assert (report.contains_zero_loss, report.witness, report.margin) == (False, None, 1.0)
+    assert report.solution_dim == general.solution_dim
 
     # Rows that are not step vectors, repeated points and a single point
     # never reach the generator LP.
@@ -617,3 +655,29 @@ def test_generator_lp_falls_back_to_margin_route(monkeypatch):
         general = _margin_route(A, X, y, v)
         assert (report.contains_zero_loss, report.solution_dim) == (general.contains_zero_loss, general.solution_dim)
     assert solves == []
+
+
+def test_margin_route_never_runs_after_the_generator_lp(monkeypatch):
+    # A region whose generator LP has run is decided by it, witness check
+    # included: on C10 trials whose first witness fails the check, on
+    # teacher cells whose zero-loss sets touch region boundaries and on
+    # random C10 trials.  Input the generator route does not take goes to
+    # the margin route alone.
+    regions = [_c10_region(146100026, 1), _c10_region(500781, 0), _c10_region(9004, 736)]
+    for n, d1, trials, seed, labels in ((4, 12, 100, 11, "teacher"), (5, 93, 60, 110, "random")):
+        regions += _cell_regions(
+            n_values=(n,), d1_values=(d1,), d0_rule="1", trials=trials, seed=seed, labels=labels, init="he"
+        )
+    non_step = ActivationPattern([[1, 0, 1], [1, 1, 1]])
+    regions.append((non_step, np.array([[0.1, 0.5, 0.9]]), np.zeros(3), _alternating(2)))
+    calls = []
+    null, margin_report = optimize.lp_positive_null, optimize._margin_report
+    monkeypatch.setattr(optimize, "lp_positive_null", lambda K: calls.append("generator") or null(K))
+    monkeypatch.setattr(optimize, "_margin_report", lambda *args: calls.append("margin") or margin_report(*args))
+    routes = []
+    for A, X, y, v in regions:
+        calls.clear()
+        region_global_min_report(A, X, y, v)
+        routes.append(tuple(calls))
+    assert set(routes[:-1]) <= {(), ("generator",), ("generator", "generator")} and routes[-1] == ("margin",)
+    assert routes[:3] == [("generator", "generator")] * 3 and routes.count(("generator",)) >= 100

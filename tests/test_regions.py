@@ -35,6 +35,11 @@ def _scan_all_candidates(X, bias):
     return sorted(out, key=lambda u: u.a)
 
 
+def _lp_route(X, bias):
+    """The enumeration's LP route as unit patterns, bypassing the 1-d fast path."""
+    return [UnitPattern(a, bias) for a, _ in _prefix_search(X, bias, DEFAULT_TOL)]
+
+
 def _sorted_x(rng, n):
     x = np.sort(rng.uniform(-2.0, 2.0, n))
     while np.any(np.diff(x) <= 1e-6):
@@ -116,7 +121,7 @@ def test_enumerate_1d_bias_returns_step_patterns():
     rng = np.random.default_rng(11)
     x = _sorted_x(rng, 3)[None, :]
     fast = enumerate_feasible_unit_patterns(x, bias=True)
-    slow = enumerate_feasible_unit_patterns(x, bias=True, use_fast_path=False)
+    slow = _lp_route(x, True)
     assert len(fast) == 6
     assert [u.a for u in fast] == [u.a for u in slow]
 
@@ -155,8 +160,7 @@ def adversarial_variants(rng, X):
 
 def assert_matches_scan(Y, bias, kind=None, i=0, j=0):
     reference = _scan_all_candidates(Y, bias)
-    for use_fast_path in (True, False):
-        patterns = enumerate_feasible_unit_patterns(Y, bias=bias, use_fast_path=use_fast_path)
+    for route, patterns in (("public", enumerate_feasible_unit_patterns(Y, bias=bias)), ("lp", _lp_route(Y, bias))):
         expected = reference
         if kind == "near-duplicate":
             # A pattern that splits two points 1e-9 apart needs a witness of
@@ -166,7 +170,7 @@ def assert_matches_scan(Y, bias, kind=None, i=0, j=0):
             patterns = [u for u in patterns if u.a[i] == u.a[j]]
             expected = [u for u in reference if u.a[i] == u.a[j]]
         # Same list in the same order, not just the same set.
-        assert patterns == expected, (kind, bias, use_fast_path)
+        assert patterns == expected, (kind, bias, route)
 
 
 def assert_witnesses_sound(Y, bias):
@@ -184,8 +188,8 @@ def record_lps(monkeypatch):
     calls = []
     solve = regions.lp_max_margin
 
-    def recording(G, cap=1.0):
-        result = solve(G, cap=cap)
+    def recording(G):
+        result = solve(G)
         calls.append((G.shape[0], result))
         return result
 
@@ -203,7 +207,7 @@ def lp_bound(Y, bias):
     allowed both LPs.
     """
     return 2 + sum(
-        len(enumerate_feasible_unit_patterns(Y[:, :j], bias=bias, use_fast_path=False))
+        len(_prefix_search(Y[:, :j], bias, DEFAULT_TOL))
         * (1 if np.any(Y[:, j]) else 2)
         for j in range(1, Y.shape[1])
     )
@@ -246,7 +250,7 @@ def test_lp_count_bounded_by_realizable_prefixes(d, bias, monkeypatch):
     for Y in [X, *variants.values()]:
         bound = lp_bound(Y, bias)
         calls = record_lps(monkeypatch)
-        enumerate_feasible_unit_patterns(Y, bias=bias, use_fast_path=False)
+        _prefix_search(Y, bias, DEFAULT_TOL)
         assert len(calls) <= bound
         monkeypatch.undo()
 
