@@ -14,6 +14,7 @@ validation; their callers build those arrays from validated draws.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -65,7 +66,7 @@ class Tol:
 
     def misses(self, residual: float, y: np.ndarray) -> bool:
         """Whether a fit with residual norm ``residual`` on targets ``y`` is not exact (not zero loss)."""
-        return residual > self.residual_tol * (1.0 + float(np.linalg.norm(y)))
+        return residual > self.residual_tol * (1.0 + _norm(y))
 
 
 DEFAULT_TOL = Tol()
@@ -86,7 +87,7 @@ def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InputError(f"{name} contains non-finite entries")
     return A
 
@@ -96,19 +97,22 @@ def as_vector(v, *, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1:
         raise InputError(f"{name} must be 1-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 
 
 def embed_ones(X) -> np.ndarray:
-    """Append a trailing all-ones row to ``X``.
+    """``X`` with a trailing all-ones row appended, written into one new array.
 
     Models with a bias term are handled uniformly by embedding each input
     column x as (x, 1); the bias becomes the trailing weight coordinate.
     """
     X = as_matrix(X, name="X")
-    return np.vstack([X, np.ones((1, X.shape[1]))])
+    Xh = np.empty((X.shape[0] + 1, X.shape[1]))
+    Xh[:-1] = X
+    Xh[-1] = 1.0
+    return Xh
 
 
 def normalize_rows(G) -> np.ndarray:
@@ -121,13 +125,31 @@ def normalize_rows(G) -> np.ndarray:
     return out
 
 
+def _norm(v) -> float:
+    """Euclidean norm of ``v`` raveled, with the bits of ``float(np.linalg.norm(v))`` wherever that is finite.
+
+    numpy's formula is sqrt(x . x) on the raveled float array; ``np.vdot``
+    forms the same dot product without numpy's overflow warning.  When the
+    squared sum overflows, the norm of x / max|x| is scaled back, so a
+    finite vector whose norm is below the float range gets a finite norm.
+    """
+    x = np.asarray(v, dtype=float).ravel(order="K")
+    squares = np.vdot(x, x)
+    if not math.isfinite(squares):
+        top = float(np.abs(x).max())
+        if math.isfinite(top):
+            x = x / top
+            return top * math.sqrt(np.vdot(x, x))
+    return math.sqrt(squares)
+
+
 def _rank(s: np.ndarray, tol: Tol) -> np.ndarray:
     """Count of singular values ``s`` (descending along the last axis) above ``rank_tol`` times the largest.
 
     An all-zero or empty spectrum counts 0.  Leading axes stack independent
     spectra; the result keeps them.
     """
-    return np.count_nonzero(s > tol.rank_tol * s[..., :1], axis=-1)
+    return (s > tol.rank_tol * s[..., :1]).sum(axis=-1)
 
 
 def stacked_ranks(M: np.ndarray, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -167,8 +189,7 @@ def least_squares_min_norm(M, y, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, fl
     if b.shape[0] != A.shape[0]:
         raise InputError(f"y has length {b.shape[0]}, expected {A.shape[0]}")
     x, _, _, _ = np.linalg.lstsq(A, b, rcond=tol.rank_tol)
-    residual = float(np.linalg.norm(A @ x - b))
-    return x, residual
+    return x, _norm(A @ x - b)
 
 
 def khatri_rao(A, X) -> np.ndarray:

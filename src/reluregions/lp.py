@@ -198,23 +198,30 @@ def _null_tableau(K):
     # Gauss-Jordan elimination, one column at a time: a column becomes basic
     # on the free row where it is largest, unless that entry is negligible
     # against K.  Each pivot row then reads s_B + B^-1 N s_N = 0, and rows
-    # that never pivot are dependent and dropped.
+    # that never pivot are dependent and dropped.  ``free`` is 1.0 on the rows
+    # not yet pivoted and 0.0 on the others, so the product masks the column
+    # in place.  The update forms factors[:, None] * prow by
+    # ``np.multiply.outer``, not einsum, which would turn -0.0 products into
+    # +0.0 and change the tableau's zero signs.
     R = K.copy()
-    free = np.ones(n, dtype=bool)
+    free = np.ones(n)
+    column = np.empty(n)
     rows, basic = [], []
     floor = _PIVOT_TOL * np.abs(K).max(initial=0.0)
     for j in range(p):
         if len(rows) == n:
             break
-        column = np.where(free, np.abs(R[:, j]), 0.0)
+        np.abs(R[:, j], out=column)
+        column *= free
         i = column.argmax()
         if column[i] <= floor:
             continue
-        R[i] /= R[i, j]
+        prow = R[i]
+        prow /= prow[j]
         factors = R[:, j].copy()
         factors[i] = 0.0
-        R -= np.outer(factors, R[i])
-        free[i] = False
+        R -= np.multiply.outer(factors, prow)
+        free[i] = 0.0
         rows.append(i)
         basic.append(j)
 
@@ -223,17 +230,17 @@ def _null_tableau(K):
     # right-hand side; rows are the pivot rows, the cap row t + sigma = 1
     # and the objective row: minimize -t.  The start basis has zero cost.
     r = len(rows)
-    is_basic = np.zeros(p, dtype=bool)
-    is_basic[basic] = True
-    nonbasic = np.flatnonzero(~is_basic)
+    is_nonbasic = np.ones(p + 1, dtype=bool)
+    is_nonbasic[basic] = False
+    nonbasic = np.flatnonzero(is_nonbasic)  # the nonbasic slacks, then t
     T = np.zeros((r + 2, p - r + 2))
     pivot_rows = R[rows]
-    T[:r, : p - r] = pivot_rows[:, nonbasic]
+    T[:r, : p - r] = pivot_rows[:, nonbasic[:-1]]
     T[:r, p - r] = pivot_rows.sum(axis=1)
     T[r, p - r] = 1.0
     T[r, p - r + 1] = 1.0
     T[r + 1, p - r] = -1.0
-    return T, np.array(basic + [p + 1], dtype=int), np.append(nonbasic, p)
+    return T, np.array(basic + [p + 1], dtype=int), nonbasic
 
 
 def _pivot_to_optimum(T, basis, nonbasic, eps):

@@ -41,6 +41,7 @@ from .errors import InputError
 from .linalg import (
     DEFAULT_TOL,
     Tol,
+    _norm,
     as_matrix,
     as_vector,
     embed_ones,
@@ -101,7 +102,7 @@ def checked_head(v, d1: int) -> np.ndarray:
     v = as_vector(v, name="v")
     if v.shape[0] != d1:
         raise InputError(f"v has length {v.shape[0]} but there are {d1} units")
-    if np.any(v == 0.0):
+    if (v == 0.0).any():
         raise InputError("all entries of v must be nonzero")
     return v
 
@@ -177,7 +178,7 @@ class ActivationPattern(PatternOnData):
         A = np.asarray(self.A)
         if A.ndim != 2:
             raise InputError("pattern matrix must be 2-dimensional")
-        if not np.all((A == 0) | (A == 1)):
+        if not ((A == 0) | (A == 1)).all():
             raise InputError("pattern entries must be 0 or 1")
         object.__setattr__(self, "A", A.astype(np.int8))
 
@@ -223,14 +224,13 @@ def on_boundary(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, pre: np.ndar
     relative to the norms of its (bias-embedded) weight row and input
     column.  Leading axes stack independent draws; the result keeps them.
     """
+    row_sq = (W * W).sum(axis=-1)
+    col_sq = (X * X).sum(axis=-2)
     if b is not None:
-        row_scale = np.sqrt(np.sum(W**2, axis=-1) + b**2)
-        col_scale = np.sqrt(np.sum(X**2, axis=-2) + 1.0)
-    else:
-        row_scale = np.linalg.norm(W, axis=-1)
-        col_scale = np.linalg.norm(X, axis=-2)
-    scale = row_scale[..., :, None] * col_scale[..., None, :]
-    return np.any(np.abs(pre) <= tol.lp_tol * scale, axis=(-2, -1))
+        row_sq = row_sq + b * b
+        col_sq += 1.0
+    scale = np.sqrt(row_sq)[..., :, None] * np.sqrt(col_sq)[..., None, :]
+    return (np.abs(pre) <= tol.lp_tol * scale).any(axis=(-2, -1))
 
 
 def stacked_patterns(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +253,10 @@ def _witness_fault(p: Params, A: np.ndarray, X: np.ndarray, y: np.ndarray | None
     floats of ``activation_pattern`` and ``forward``.
     """
     pre = _preactivations(p.W, p.b, X)
-    if on_boundary(p.W, p.b, X, pre, tol) or not np.array_equal(pre > 0.0, A):
+    if on_boundary(p.W, p.b, X, pre, tol) or not ((pre > 0.0) == A).all():
         return "left the prescribed activation region"
     if y is not None:
-        residual = float(np.linalg.norm(p.v @ np.maximum(pre, 0.0) - y))
+        residual = _norm(p.v @ np.maximum(pre, 0.0) - y)
         if tol.misses(residual, y):
             return f"missed its target: residual norm {residual:.3e}"
     return None

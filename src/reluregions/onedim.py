@@ -99,12 +99,12 @@ def _step_codes(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M = np.asarray(A.A if isinstance(A, ActivationPattern) else A)
     if M.ndim != 2 or M.shape[1] == 0:
         raise InputError(f"a pattern must be a 2-d matrix with at least one column, got shape {M.shape}")
-    if not np.all((M == 0) | (M == 1)):
+    if not ((M == 0) | (M == 1)).all():
         raise InputError("row entries must be 0 or 1")
     M = M.astype(np.int8, copy=False)
     first = M[:, 0]
-    switches = np.count_nonzero(M[:, 1:] != M[:, :-1], axis=1)
-    lead = np.count_nonzero(M == first[:, None], axis=1)
+    switches = (M[:, 1:] != M[:, :-1]).sum(axis=1)
+    lead = (M == first[:, None]).sum(axis=1)
     k = np.where(switches == 0, 1, np.where(switches == 1, lead + 1, 0))
     variant = np.where(switches == 0, first, 1 - first)
     return M, k, variant

@@ -14,16 +14,18 @@ is no, so ``lp_tol`` separates two well-separated values and does not move
 these verdicts.  The LP takes one of two forms:
 
 * Generator form, for 1-d data with a bias (at least two distinct points,
-  step-vector rows only).  The open cone of a merged unit is a planar wedge,
-  the strictly positive combinations of its two extreme rays, so a zero-loss
-  point exists exactly when y = F lambda with lambda > 0, F having one column
-  per ray.  ``lp_positive_null`` decides it on n equality rows.  Its "yes"
-  witness is re-checked by ``model._witness_fault`` (pattern realized off
-  every boundary, residual accepted by ``Tol.misses``).  When it fails, the
-  same LP over each wedge's bisector (one column per class) gives a more
-  central witness, checked the same way; when that fails too, the answer
-  is "no".  A region whose generator LP has run never reaches the margin
-  form.
+  step-vector rows only).  Units are merged by their step codes
+  (``onedim._step_codes``) and signs of v, which name the same classes as
+  the rows do.  The open cone of a merged unit is a planar wedge, the
+  strictly positive combinations of its two extreme rays, so a zero-loss
+  point exists exactly when y = F lambda with lambda > 0, F having one
+  column per ray.  ``lp_positive_null`` decides it on n equality rows.
+  Its "yes" witness is re-checked by ``model._witness_fault`` (pattern
+  realized off every boundary, residual accepted by ``Tol.misses``).  When
+  it fails, the same LP over each wedge's bisector (one column per class)
+  gives a more central witness, checked the same way; when that fails too,
+  the answer is "no".  A region whose generator LP has run never reaches
+  the margin form.
 * Margin form, for every other input: one inequality row per (merged unit,
   data point) over a null-space basis of the design matrix, solved by
   ``lp_max_margin``.
@@ -38,6 +40,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tol,
+    _norm,
     _rank,
     as_vector,
     khatri_rao,
@@ -115,7 +118,8 @@ def _unit_classes(A: np.ndarray, v: np.ndarray):
     """Class label of each unit by (pattern row, sign of v), and the first unit of each class.
 
     Classes are numbered in order of first appearance, so the merged
-    pattern keeps the order of the units it came from.
+    pattern keeps the order of the units it came from.  The margin route
+    uses it; the generator route labels its step rows by ``_step_classes``.
     """
     keys = np.column_stack((np.packbits(A, axis=1), v > 0.0))
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
@@ -173,21 +177,43 @@ def _class_witness(theta: np.ndarray, label: np.ndarray, v: np.ndarray, bias: bo
     return Params(blocks[:, :-1], blocks[:, -1], v) if bias else Params(blocks, None, v)
 
 
+def _step_classes(k: np.ndarray, variant: np.ndarray, v: np.ndarray):
+    """``_unit_classes`` of a pattern of step rows, from their ``_step_codes`` (k, variant) and the head v.
+
+    A step row is one-to-one with its canonical code, so units share a class
+    exactly when they share (k, variant, sign of v).  Classes are numbered in
+    order of first appearance, as ``_unit_classes`` numbers them.
+    """
+    key = (2 * k + variant) * 2 + (v > 0.0)
+    order = key.argsort(kind="stable")
+    ranked = key[order]
+    head = np.ones(key.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    # The stable sort puts the first unit of each class at the head of its run.
+    first = np.sort(order[head])
+    label_of = np.empty(ranked[-1] + 1 if key.size else 0, dtype=np.intp)
+    label_of[key[first]] = np.arange(first.size)
+    return label_of[key], first
+
+
 def _generator_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.ndarray, tol: Tol):
     """The report of a pattern on 1-d data with a bias from the generator LP.
 
     None for input the route does not take: fewer than two distinct points
-    or a row that is not a step vector.
+    or a row that is not a step vector.  One ``_step_codes`` pass over the
+    pattern with its columns sorted gives every unit's step code, and with
+    it the unit's class (``_step_classes``) and the code of the merged row.
     """
     x = Xh[0]
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    if not np.all(np.diff(xs) > 0.0):
+    if not (xs[1:] > xs[:-1]).all():
         return None
-    label, first = _unit_classes(A.A, v)
-    M, k, variant = _step_codes(A.A[first][:, order])
+    M, k, variant = _step_codes(A.A[:, order])
     if not k.all():
         return None
+    label, first = _step_classes(k, variant, v)
+    M, k, variant = M[first], k[first], variant[first]
     n = xs.shape[0]
 
     # Ray i of a class is sigma_i (1, -x_{a_i}): zero at the anchor point
@@ -199,25 +225,30 @@ def _generator_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np
     sigma = np.column_stack([slope, np.where(constant, -slope, slope)])
     active = M.any(axis=1)
     signs = np.sign(v[first])[active, None] * sigma[active]
-    F = (signs[..., None] * M[active, None, :] * (xs - xs[anchors[active]][..., None])).reshape(-1, n).T
+    # The generator LP's matrix K = [F, -y], written once: F has one column
+    # per ray of an active class.
     ys = y[order]
+    K = np.empty((n, 2 * signs.shape[0] + 1))
+    F = K[:, :-1]
+    F[...] = (signs[..., None] * M[active, None, :] * (xs - xs[anchors[active]][..., None])).reshape(-1, n).T
+    K[:, -1] = -ys
 
     # F spans the columns of the merged design matrix, so its SVD gives the
     # rank and the reachability test of the margin route.
     rank = 0
-    residual = float(np.linalg.norm(ys))
+    residual = _norm(ys)
     if F.size:
         U, s, _ = np.linalg.svd(F, full_matrices=False)
         rank = int(_rank(s, tol))
         U = U[:, :rank]
-        residual = float(np.linalg.norm(ys - U @ (U.T @ ys)))
+        residual = _norm(ys - U @ (U.T @ ys))
     if tol.misses(residual, ys):
         return RegionMinReport(False, None, None, float("-inf"))
     solution_dim = 2 * A.d1 - rank
 
-    def solve(columns, per_class):
-        """The LP's margin over ``columns`` (``per_class`` per active class), and its witness if it passes the check."""
-        result = lp_positive_null(np.column_stack([columns, -ys]))
+    def solve(K, per_class):
+        """The margin of the LP over ``K`` = [columns, -y] (``per_class`` columns per active class), and its witness if it passes the check."""
+        result = lp_positive_null(K)
         if result.t <= tol.lp_tol:
             return result.t, None
         # A class inactive everywhere is not in F; lambda = 1 on both of its
@@ -225,17 +256,19 @@ def _generator_report(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np
         lam = np.ones(sigma.shape)
         lam[active] = (result.witness[:-1] / result.witness[-1]).reshape(-1, per_class)
         weights = lam * sigma
-        theta = np.column_stack([weights.sum(axis=1), -(weights * xs[anchors]).sum(axis=1)])
+        theta = np.empty(sigma.shape)
+        theta[:, 0] = weights.sum(axis=1)
+        theta[:, 1] = -(weights * xs[anchors]).sum(axis=1)
         witness = _class_witness(theta, label, v, bias=True)
         return result.t, None if _witness_fault(witness, A.A, Xh[:1], y, tol) else witness
 
-    margin, witness = solve(F, 2)
+    margin, witness = solve(K, 2)
     if margin > tol.lp_tol and witness is None:
         # A vertex of the generator LP can put a hinge within lp_tol of a data
         # point, or need weights whose rounding misses y.  The LP over each
         # wedge's bisector (both rays of a class weighted alike) asks for a
         # central point of the same zero-loss set instead.
-        witness = solve(F[:, 0::2] + F[:, 1::2], 1)[1]
+        witness = solve(np.column_stack([F[:, 0::2] + F[:, 1::2], -ys]), 1)[1]
     return RegionMinReport(witness is not None, witness, solution_dim, margin)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from reluregions import (
     rational_rank,
 )
 from reluregions.errors import InputError
-from reluregions.linalg import as_int, stacked_khatri_rao, stacked_ranks
+from reluregions.linalg import DEFAULT_TOL, _norm, as_int, stacked_khatri_rao, stacked_ranks
 
 
 def test_mat_rank_identity():
@@ -151,6 +153,65 @@ def test_tol_validation():
 def test_embed_ones():
     out = embed_ones([[1.0, 2.0]])
     assert np.array_equal(out, [[1.0, 2.0], [1.0, 1.0]])
+
+
+def test_embed_ones_matches_vstack_on_any_layout():
+    X = np.random.default_rng(3).standard_normal((3, 4))
+    for M in (X, X[:, ::2], X.T, np.zeros((0, 4)), np.zeros((2, 0))):
+        out = embed_ones(M)
+        assert out.dtype == float and out.flags.c_contiguous
+        assert np.array_equal(out, np.vstack([M, np.ones((1, M.shape[1]))]))
+    with pytest.raises(InputError):
+        embed_ones([[1.0, np.inf]])
+
+
+def _norm_cases(rng):
+    """Vectors for ``_norm``: empty, length 1, strided views, subnormal and mixed magnitudes, long."""
+    yield np.zeros(0)
+    yield np.array([-3.5])
+    yield np.array([5e-324])
+    yield np.array([0.0, -0.0])
+    for size in (2, 3, 5, 7, 16, 31, 93, 128, 1000, 4097):
+        x = rng.standard_normal(size)
+        yield x
+        yield x[::3]
+        yield x[::-1]
+        yield x * 10.0 ** rng.integers(-150, 150, size)
+        yield x * 1e-310
+        yield x * (1e150 / np.sqrt(size))
+    M = rng.standard_normal((6, 9))
+    yield M[:, 2]
+    yield M[1:4, ::2]
+
+
+def test_norm_has_numpys_bits():
+    rng = np.random.default_rng(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in _norm_cases(rng):
+            got = _norm(x)
+            assert type(got) is float
+            assert got == float(np.linalg.norm(x)), x
+    assert _norm([3, 4]) == 5.0
+
+
+def test_norm_survives_overflow_of_the_squared_sum():
+    y = np.array([1e200, -1e200, 3e199])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Just below overflow the squared sum is finite and the bits are numpy's.
+        below = np.array([9.4e153, -9.4e153])
+        assert _norm(below) == float(np.linalg.norm(below))
+        assert _norm(y) == pytest.approx(np.sqrt(2.09) * 1e200, rel=1e-15)
+        assert _norm(-y[::-1]) == pytest.approx(_norm(y), rel=1e-15)
+        assert _norm([1e308, 1e308]) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+        assert _norm([1.5e308, 1.5e308]) == float("inf")
+        assert np.isnan(_norm([np.nan, 1e200]))
+        assert _norm([np.inf, 1.0]) == float("inf")
+        # The zero-loss rule keeps its meaning on such targets, array-likes included.
+        assert DEFAULT_TOL.misses(1e300, y)
+        assert DEFAULT_TOL.misses(1e300, y.tolist())
+        assert not DEFAULT_TOL.misses(1e190, y)
 
 
 def test_normalize_rows_keeps_zero_rows():

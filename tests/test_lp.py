@@ -426,6 +426,79 @@ def test_positive_null_start_matches_full_tableau():
     assert dropped >= 50
 
 
+def _reference_null_tableau(K):
+    """Test oracle: the crash start of ``lp._null_tableau`` in its plain form, with a boolean free mask,
+    ``np.where``, ``np.outer`` and ``np.append``."""
+    n, p = K.shape
+    R = K.copy()
+    free = np.ones(n, dtype=bool)
+    rows, basic = [], []
+    floor = lp._PIVOT_TOL * np.abs(K).max(initial=0.0)
+    for j in range(p):
+        if len(rows) == n:
+            break
+        column = np.where(free, np.abs(R[:, j]), 0.0)
+        i = column.argmax()
+        if column[i] <= floor:
+            continue
+        R[i] /= R[i, j]
+        factors = R[:, j].copy()
+        factors[i] = 0.0
+        R -= np.outer(factors, R[i])
+        free[i] = False
+        rows.append(i)
+        basic.append(j)
+    r = len(rows)
+    is_basic = np.zeros(p, dtype=bool)
+    is_basic[basic] = True
+    nonbasic = np.flatnonzero(~is_basic)
+    T = np.zeros((r + 2, p - r + 2))
+    pivot_rows = R[rows]
+    T[:r, : p - r] = pivot_rows[:, nonbasic]
+    T[:r, p - r] = pivot_rows.sum(axis=1)
+    T[r, p - r] = 1.0
+    T[r, p - r + 1] = 1.0
+    T[r + 1, p - r] = -1.0
+    return T, np.array(basic + [p + 1], dtype=int), np.append(nonbasic, p)
+
+
+def test_null_tableau_bytes_match_reference_elimination(monkeypatch):
+    # Same floats, zero signs included, same bases and nonbasic maps: on the
+    # generator LPs of C10 reports (K as the report passes it), on small
+    # integer K with dependent rows, zero columns and signed zeros, and on the
+    # edge shapes of lp_positive_null.
+    from test_optimize import _c10_region
+
+    null_lps = []
+
+    def record(K):
+        null_lps.append(K)
+        return lp_positive_null(K)
+
+    monkeypatch.setattr(optimize, "lp_positive_null", record)
+    for seed in (11000000, 3400002, 300715):
+        for trial in range(4):
+            region_global_min_report(*_c10_region(seed, trial))
+    assert len(null_lps) >= 8
+    rng = np.random.default_rng(55)
+    for case in range(150):
+        n, p = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+        K = rng.integers(-2, 3, (n, p)).astype(float)
+        if case % 3 == 0 and n > 1:
+            K[-1] = 2.0 * K[0] - K[:-1].sum(axis=0)
+        if case % 4 == 0:
+            K[K == 0.0] = -0.0
+        null_lps.append(K)
+    null_lps += [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((3, 2)), np.array([[1.0, 1.0]]), np.array([[1.0, -2.0, 1.0]]),
+                 np.array([[1.0, 2.0, -1.0], [2.0, 4.0, -2.0], [-0.0, 1.0, 3.0]])]
+    for K in null_lps:
+        T, basis, nonbasic = lp._null_tableau(K)
+        T_ref, basis_ref, nonbasic_ref = _reference_null_tableau(np.asarray(K, dtype=float))
+        assert T.shape == T_ref.shape and T.tobytes() == T_ref.tobytes()
+        assert basis.dtype == basis_ref.dtype and np.array_equal(basis, basis_ref)
+        assert nonbasic.dtype == nonbasic_ref.dtype and np.array_equal(nonbasic, nonbasic_ref)
+
+
 def test_positive_null_edge_shapes():
     # No rows: every z is a null vector.  No columns: only the cap binds.
     for K, t in ((np.zeros((0, 3)), 1.0), (np.zeros((2, 0)), 1.0), (np.zeros((3, 2)), 1.0), (np.array([[1.0, 1.0]]), 0.0)):

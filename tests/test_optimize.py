@@ -23,7 +23,7 @@ from reluregions import (
     region_global_min_report,
     zero_loss_set,
 )
-from reluregions import experiments, lp, optimize
+from reluregions import experiments, lp, onedim, optimize
 from reluregions.errors import InputError
 from reluregions.onedim import all_step_vectors
 
@@ -236,6 +236,57 @@ def test_unit_classes_match_dict_labelling():
         expected_label, expected_first = _dict_unit_classes(A, v)
         assert np.array_equal(label, expected_label)
         assert np.array_equal(first, expected_first)
+
+
+def test_step_classes_match_dict_labelling():
+    # The generator route labels units by step code and sign of v: the same
+    # classes, numbered the same way, as the rows themselves give.
+    rng = np.random.default_rng(16)
+    for case in range(80):
+        n = int(rng.integers(1, 9))
+        d1 = int(rng.choice([1, 2, 3, 7, 40, 93, 400]))
+        steps = np.array([sv.values() for sv in all_step_vectors(n)])
+        # A few distinct step rows, all-zero and all-one rows among them, so
+        # that rows repeat with both signs of v.
+        pool = steps[rng.integers(0, 2 * n, int(rng.integers(1, 6)))]
+        pool = np.vstack([pool, np.zeros((1, n), dtype=np.int8), np.ones((1, n), dtype=np.int8)])
+        A = pool[rng.integers(0, pool.shape[0], d1)]
+        v = rng.choice([-1.0, 1.0], d1) * rng.uniform(0.5, 2.0, d1)
+        if case % 3 == 0:
+            v = np.abs(v)
+        _, k, variant = onedim._step_codes(A)
+        assert k.all()
+        label, first = optimize._step_classes(k, variant, v)
+        expected_label, expected_first = _dict_unit_classes(A, v)
+        assert np.array_equal(label, expected_label)
+        assert np.array_equal(first, expected_first)
+    empty = np.zeros(0, dtype=int)
+    label, first = optimize._step_classes(empty, empty, np.zeros(0))
+    assert label.size == first.size == 0
+
+
+def test_generator_route_labels_units_without_unit_classes(monkeypatch):
+    # The 1-d route classes units by their step codes; _unit_classes serves
+    # the margin route only.
+    def refused(*args):
+        raise AssertionError("_unit_classes called on the 1-d route")
+
+    monkeypatch.setattr(optimize, "_unit_classes", refused)
+    rng = np.random.default_rng(17)
+    x = _sorted_x(rng, 6)
+    A = ActivationPattern(random_complete_step_matrix(6, _alternating(14), rng))
+    report = region_global_min_report(A, x[None, :], rng.standard_normal(6), _alternating(14))
+    assert report.contains_zero_loss
+
+
+def test_targets_whose_squares_overflow_stay_out_of_reach():
+    # An all-inactive pattern outputs 0 everywhere.  The norm of these targets
+    # is finite though their squared sum is not, so the zero-loss rule still
+    # refuses them instead of comparing against an infinite allowance.
+    y = np.array([1e200, -1e200, 3e199])
+    A = ActivationPattern(np.zeros((4, 3), dtype=np.int8))
+    report = region_global_min_report(A, np.array([[-1.0, 0.0, 1.0]]), y, _alternating(4))
+    assert (report.contains_zero_loss, report.witness, report.solution_dim, report.margin) == (False, None, None, float("-inf"))
 
 
 def _uncollapsed_lp(A, X, y, v, tol=DEFAULT_TOL):

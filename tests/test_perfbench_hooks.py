@@ -66,3 +66,25 @@ def test_grids_draw_through_hooked_datagen(monkeypatch, run):
         assert calls == {"gen_gaussian_data": drawn, "gen_cube_data": 0, "gen_labels": 0}
     else:
         assert calls == {"gen_gaussian_data": 0, "gen_cube_data": drawn, "gen_labels": drawn}
+
+
+def test_globalmin_grid_reports_through_the_hooked_global(monkeypatch):
+    """``optimize.report`` times this module global, and a traced run re-checks every "yes" witness from its calls.
+
+    So the grid must call it once per scored trial: a batched report that
+    bypassed it would leave that re-check with nothing to check.
+    """
+    calls = []
+    original = experiments.region_global_min_report
+
+    def counted(*args, **kwargs):
+        report = original(*args, **kwargs)
+        calls.append(report)
+        return report
+
+    monkeypatch.setattr(experiments, "region_global_min_report", counted)
+    cfg = experiments.ExperimentConfig(n_values=(3, 5), d1_values=(2, 9), d0_rule="1", trials=7, seed=5, init="he")
+    result = experiments.run_globalmin_grid(cfg)
+    assert len(result.cells) == 4
+    assert len(calls) == sum(c.trials for c in result.cells) == 4 * 7
+    assert sum(r.contains_zero_loss for r in calls) == round(sum(c.value * c.trials for c in result.cells))
