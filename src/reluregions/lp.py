@@ -1,27 +1,33 @@
-"""Dense primal simplex for margin maximization.
+"""Dense primal simplex for one LP, the positive-null LP, and its margin case.
 
-``lp_max_margin`` solves
+Both solvers pose the same LP,
 
-    maximize t  subject to  G u >= t * 1,  t <= 1
-
-with free variables ``u`` and ``t``.  The problem is always feasible (u = 0,
-t = 0), and the simplex starts from that point with every slack basic, so it
-needs no phase 1.  A positive optimum certifies a strictly feasible point of
-``G u > 0``, which is how the package certifies membership in open
-polyhedral regions; the cone is scale-free, so that optimum is the cap, 1.
-
-``lp_positive_null`` solves the equality form of the same question,
-
-    maximize t  subject to  K z = 0,  z >= t * 1,  t <= 1,
+    maximize t  subject to  K z = 0,  z >= t * 1,  0 <= t <= 1,
 
 whose positive optimum certifies a strictly positive point of the null
-space of K (Stiemke's lemma gives the alternative).  It has one row per
-independent row of K, not one per inequality.  Its right-hand side is
-zero, so any nonsingular choice of columns is a feasible start basis (a
-crash basis, Bixby 1992): Gauss-Jordan elimination with partial pivoting
-picks one, drops the dependent rows of K, and the simplex starts there
-without a phase 1.  ``t`` is kept nonnegative, which loses nothing since
-z = 0 is feasible.
+space of K (Stiemke's lemma gives the alternative); the cone is scale-free,
+so that optimum is the cap, 1.  Its variables are the slacks s = z - t, t
+and the cap slack, all nonnegative: z = 0 is feasible, so t needs no free
+split.  The right-hand side is zero, so any nonsingular choice of columns
+is a feasible start basis (a crash basis, Bixby 1992) and the simplex
+starts without a phase 1.
+
+``lp_positive_null(K)`` picks its crash basis by Gauss-Jordan elimination
+with partial pivoting, which also drops the dependent rows of K; it has one
+row per independent row of K.  Its witness is z = s + t.
+
+``lp_max_margin(G)`` asks whether ``G u > 0`` has a solution, which is how
+the package certifies membership in open polyhedral regions.  It has one
+exactly when K = [G, -G, -I] has a strictly positive null vector
+z = (u+, u-, G u): u+ and u- can be shifted by a common constant.  The
+slack columns of -I are a crash basis
+with B^-1 = -I, so the start tableau is written directly, with no
+elimination: B^-1 N = [-G, G] and a t column of exactly 1.0.  The witness
+is u = s(u+) - s(u-), read from the slack values, in which the common t
+cancels.  The variable order (u+, u-, margin slacks, t, cap slack) puts u
+before the margin slacks, so ties, which go to the smallest variable index,
+send u into the basis before a margin slack that has left it; t enters at
+the first pivot.
 
 The objective is bounded by construction (t <= 1), so a kernel report of
 "unbounded" can only mean a numerically null improving column slipped past
@@ -158,37 +164,44 @@ def kernel_backend() -> str:
 
 @dataclass(frozen=True)
 class MarginResult:
-    """Optimal margin ``t`` of a margin LP and the ``u`` attaining it."""
+    """Optimal margin ``t`` of an LP and its witness: ``u`` for ``lp_max_margin``, ``z`` for ``lp_positive_null``."""
 
     t: float
     witness: np.ndarray
 
 
-class _NumericalTrouble(Exception):
-    pass
+def _start_tableau(r, q, t_column):
+    """Condensed start tableau with ``r`` pivot rows and ``q`` nonbasic slack columns; the caller writes B^-1 N.
+
+    Columns are the nonbasic slacks, t (whose column is ``t_column``, that is
+    B^-1 K 1) and the right-hand side; rows are the pivot rows
+    s_B + B^-1 N s_N + t B^-1 K 1 = 0, the cap row t + sigma = 1 and the
+    objective row: minimize -t.  The start basis has zero cost, so the
+    objective needs no pricing out.
+    """
+    T = np.zeros((r + 2, q + 2))
+    T[:r, q] = t_column
+    T[r, q:] = 1.0
+    T[r + 1, q] = -1.0
+    return T
 
 
-def _tableau(G):
-    """Condensed start tableau of the margin LP, with its basis and nonbasic maps."""
+def _margin_tableau(G):
+    """Slack-basis start of the positive-null LP on [G, -G, -I], with its basis and nonbasic maps."""
     m, k = G.shape
 
-    # Variables: u+ (k), u- (k), t+, t- (the free variables split), then the
-    # margin slacks (m) and the cap slack, which make up the start basis.
-    # Columns are the 2k + 2 nonbasic variables and the right-hand side.
-    tp = 2 * k
-    T = np.zeros((m + 2, tp + 3))
-
-    # Margin rows  -G_i u + t + s_i = 0,  the cap row  t + sigma = 1, and
-    # the objective row: minimize -t+ + t-.  The start basis is all slack,
-    # with zero cost, so the objective needs no pricing out.
-    T[:m, 0:k] = -G
-    T[:m, k:tp] = G
-    T[: m + 1, tp] = 1.0
-    T[: m + 1, tp + 1] = -1.0
-    T[m, tp + 2] = 1.0
-    T[m + 1, tp] = -1.0
-    T[m + 1, tp + 1] = 1.0
-    return T, np.arange(tp + 2, tp + 3 + m), np.arange(tp + 2)
+    # B = -I, so B^-1 N = [-G, G] and the t column B^-1 K 1 = -(-1) is
+    # exactly 1.0 (summing the rows of K would round).  Variables: u+ (k),
+    # u- (k), the margin slacks (m), t, then the cap slack; the basis is the
+    # margin slacks and the cap slack.
+    T = _start_tableau(m, 2 * k, 1.0)
+    T[:m, :k] = -G
+    T[:m, k : 2 * k] = G
+    basis = np.arange(2 * k, 2 * k + m + 1)
+    basis[-1] += 1
+    nonbasic = np.arange(2 * k + 1)
+    nonbasic[-1] += m
+    return T, basis, nonbasic
 
 
 def _null_tableau(K):
@@ -225,78 +238,57 @@ def _null_tableau(K):
         rows.append(i)
         basic.append(j)
 
-    # Variables: the slacks s = z - t (p), t, then the cap slack.  Columns are
-    # the nonbasic slacks, t (whose column B^-1 K 1 is the row sum) and the
-    # right-hand side; rows are the pivot rows, the cap row t + sigma = 1
-    # and the objective row: minimize -t.  The start basis has zero cost.
+    # Variables: the slacks s = z - t (p), t, then the cap slack.  The t
+    # column B^-1 K 1 is the row sum of the pivot rows.
     r = len(rows)
     is_nonbasic = np.ones(p + 1, dtype=bool)
     is_nonbasic[basic] = False
     nonbasic = np.flatnonzero(is_nonbasic)  # the nonbasic slacks, then t
-    T = np.zeros((r + 2, p - r + 2))
     pivot_rows = R[rows]
+    T = _start_tableau(r, p - r, pivot_rows.sum(axis=1))
     T[:r, : p - r] = pivot_rows[:, nonbasic[:-1]]
-    T[:r, p - r] = pivot_rows.sum(axis=1)
-    T[r, p - r] = 1.0
-    T[r, p - r + 1] = 1.0
-    T[r + 1, p - r] = -1.0
     return T, np.array(basic + [p + 1], dtype=int), nonbasic
 
 
-def _pivot_to_optimum(T, basis, nonbasic, eps):
-    """Run the registered pivot loop on a start tableau; the value of every variable at the optimum."""
-    # Dantzig pricing finishes in a few hundred pivots on these LPs; one that
-    # runs to several stall windows has drifted, and coarser pricing recovers.
-    stall_limit = 1000 + 2 * basis.size
-    max_iter = 4 * stall_limit
-    status = _KERNELS["python"](T, basis, eps, _PIVOT_TOL, max_iter, stall_limit, nonbasic)
-    if status == UNBOUNDED:
-        raise _NumericalTrouble("numerically null improving column")
-    if status == ITERATION_LIMIT:
-        raise _NumericalTrouble("simplex iteration limit exceeded")
+def _solve(start, M):
+    """Pivot the start tableau ``start(M)`` to the optimum, rebuilt with coarser pricing on numerical trouble.
 
-    x = np.zeros(basis.size + nonbasic.size)
-    x[basis] = T[:-1, -1]
-    return x
-
-
-def _solve_once(G, eps):
-    k = G.shape[1]
-    x = _pivot_to_optimum(*_tableau(G), eps)
-    return MarginResult(float(x[2 * k] - x[2 * k + 1]), x[0:k] - x[k : 2 * k])
-
-
-def _null_solve_once(K, eps):
-    p = K.shape[1]
-    x = _pivot_to_optimum(*_null_tableau(K), eps)
-    return MarginResult(float(x[p]), x[:p] + x[p])
-
-
-def _escalated(solve_once, M):
-    """``solve_once(M, eps)``, retried with coarser pricing on numerical trouble."""
+    Returns the value of every variable at the optimum.
+    """
     eps = _PRICE_EPS
     for _ in range(3):
-        try:
-            return solve_once(M, eps)
-        except _NumericalTrouble as trouble:
-            last = trouble
-            eps *= 100.0
-    raise InvariantViolation(f"margin LP failed numerically after escalation: {last}")
+        T, basis, nonbasic = start(M)
+        # Dantzig pricing finishes in a few hundred pivots on these LPs; one
+        # that runs to several stall windows has drifted, and coarser pricing
+        # recovers.
+        stall_limit = 1000 + 2 * basis.size
+        status = _KERNELS["python"](T, basis, eps, _PIVOT_TOL, 4 * stall_limit, stall_limit, nonbasic)
+        if status == OPTIMAL:
+            x = np.zeros(basis.size + nonbasic.size)
+            x[basis] = T[:-1, -1]
+            return x
+        eps *= 100.0
+    trouble = "numerically null improving column" if status == UNBOUNDED else "simplex iteration limit exceeded"
+    raise InvariantViolation(f"LP on a {M.shape[0]}x{M.shape[1]} matrix failed numerically after escalation: {trouble}")
 
 
 def lp_max_margin(G) -> MarginResult:
-    """Maximize the common margin t of ``G u >= t``, ``t <= 1``.
+    """Maximize the common margin t of ``G u >= t``, ``0 <= t <= 1``; the witness is u.
 
-    The LP is always feasible (u = 0, t = 0), and the cap keeps the
+    The LP is the positive-null LP on [G, -G, -I], started from its slack
+    basis.  It is always feasible (u = 0, t = 0), and the cap keeps the
     objective bounded.  G may have no columns: the optimum is then 0, or 1
     when G has no rows either.  Rows of G are used as given; callers wanting
     geometrically meaningful margins should normalize them.
     """
-    return _escalated(_solve_once, as_matrix(G, name="G"))
+    G = as_matrix(G, name="G")
+    m, k = G.shape
+    x = _solve(_margin_tableau, G)
+    return MarginResult(float(x[2 * k + m]), x[:k] - x[k : 2 * k])
 
 
 def lp_positive_null(K) -> MarginResult:
-    """Maximize t subject to ``K z = 0``, ``z >= t``, ``t <= 1``; the witness is z.
+    """Maximize t subject to ``K z = 0``, ``z >= t``, ``0 <= t <= 1``; the witness is z.
 
     The optimum is 1 when K has a strictly positive null vector and 0 when
     it has none; a positive optimum's z is such a vector, with every entry
@@ -305,4 +297,7 @@ def lp_positive_null(K) -> MarginResult:
     dependent, to within ``_PIVOT_TOL`` times the largest entry of K, are
     dropped.
     """
-    return _escalated(_null_solve_once, as_matrix(K, name="K"))
+    K = as_matrix(K, name="K")
+    p = K.shape[1]
+    x = _solve(_null_tableau, K)
+    return MarginResult(float(x[p]), x[:p] + x[p])

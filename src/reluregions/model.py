@@ -224,12 +224,22 @@ def on_boundary(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, pre: np.ndar
     relative to the norms of its (bias-embedded) weight row and input
     column.  Leading axes stack independent draws; the result keeps them.
     """
-    row_sq = (W * W).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        row_sq = (W * W).sum(axis=-1)
+        if b is not None:
+            row_sq = row_sq + b * b
+    row_norm = np.sqrt(row_sq)
+    big = np.isinf(row_norm)
+    if big.any():
+        # Weights above about 1e154 overflow the sum of squares: scale those
+        # rows by their largest entry first.
+        rows = W[big] if b is None else np.column_stack([W[big], b[big]])
+        peak = np.abs(rows).max(axis=1)
+        row_norm[big] = peak * np.sqrt(((rows / peak[:, None]) ** 2).sum(axis=1))
     col_sq = (X * X).sum(axis=-2)
     if b is not None:
-        row_sq = row_sq + b * b
         col_sq += 1.0
-    scale = np.sqrt(row_sq)[..., :, None] * np.sqrt(col_sq)[..., None, :]
+    scale = row_norm[..., :, None] * np.sqrt(col_sq)[..., None, :]
     return (np.abs(pre) <= tol.lp_tol * scale).any(axis=(-2, -1))
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,10 +125,12 @@ def test_optimum_matches_highs():
         assert r.t == pytest.approx(-highs.fun, abs=1e-7)
 
 
+_DUPLICATE_ROWS = normalize_rows(np.array([[1.0, 1.0]] * 40 + [[-1.0, 1.0]] * 40 + [[0.5, -1.0]] * 40))
+
+
 def test_degenerate_duplicate_rows_terminate(kernel_entry):
-    G = normalize_rows(np.array([[1.0, 1.0]] * 40 + [[-1.0, 1.0]] * 40 + [[0.5, -1.0]] * 40))
-    r = lp_max_margin(G)
-    assert np.all(G @ r.witness >= r.t - 1e-8)
+    r = lp_max_margin(_DUPLICATE_ROWS)
+    assert np.all(_DUPLICATE_ROWS @ r.witness >= r.t - 1e-8)
 
 
 def test_input_validation():
@@ -166,7 +170,7 @@ def test_kernel_receives_condensed_tableau_and_pricing_eps(monkeypatch):
     monkeypatch.setitem(lp._KERNELS, "python", recording)
     for m, k in ((5, 3), (1, 0), (0, 0), (12, 7)):
         lp_max_margin(np.random.default_rng(m + k).standard_normal((m, k)))
-        assert seen.pop() == ((m + 2, 2 * k + 3), lp._PRICE_EPS)
+        assert seen.pop() == ((m + 2, 2 * k + 2), lp._PRICE_EPS)
 
 
 # Test-only oracle: the kernel on the full tableau, which keeps a column for
@@ -231,61 +235,85 @@ def _full_simplex_loop(T, basis, eps, piv_tol, max_iter, stall_limit):
     return lp.ITERATION_LIMIT, pivots, col_ties, row_ties
 
 
-def _full_tableau(G):
-    """Full start tableau: u+ (k), u- (k), t+, t-, margin slacks (m), cap slack, rhs."""
-    m, k = G.shape
-    tp, tm, s0 = 2 * k, 2 * k + 1, 2 * k + 2
-    sigma = s0 + m
-    T = np.zeros((m + 2, sigma + 2))
-    T[:m, 0:k] = -G
-    T[:m, k : 2 * k] = G
-    T[:m, tp] = 1.0
-    T[:m, tm] = -1.0
-    T[np.arange(m), s0 + np.arange(m)] = 1.0
-    T[m, tp] = 1.0
-    T[m, tm] = -1.0
-    T[m, sigma] = 1.0
-    T[m, sigma + 1] = 1.0
-    T[m + 1, tp] = -1.0
-    T[m + 1, tm] = 1.0
-    basis = np.arange(s0, sigma + 1)
-    # The start basis is all slack with zero cost: nothing to price out.
-    assert not T[m + 1, basis].any()
-    return T, basis
+def _assert_kernels_agree(K, start, piv_tol=lp._PIVOT_TOL, max_iter=None, stall_limit=None):
+    """Check a condensed start of the positive-null LP of K and pivot it with both kernels.
 
+    ``start`` is (T, basis, nonbasic) as ``lp`` builds it; its basis names the
+    basic columns of K.  Returns the oracle's (status, pivots, column ties,
+    row ties) and the value of every variable where it stopped.
+    """
+    n, p = K.shape
+    T, basis, nonbasic = (a.copy() for a in start)
+    r = basis.size - 1
+    assert T.shape == (r + 2, p - r + 2)
+    assert np.array_equal(np.sort(np.r_[basis, nonbasic]), np.arange(p + 2))
+    assert basis[-1] == p + 1 and nonbasic[-1] == p
 
-def _assert_kernels_agree(G, eps=lp._PRICE_EPS, piv_tol=lp._PIVOT_TOL, max_iter=None, stall_limit=None):
-    """Run both kernels on the margin LP of G; returns the oracle's (status, pivots, column ties, row ties)."""
-    m, k = G.shape
-    as_solved = (piv_tol, max_iter, stall_limit) == (lp._PIVOT_TOL, None, None)
-    stall_limit = 1000 + 2 * (m + 1) if stall_limit is None else stall_limit
+    # Start oracle: the pivot rows read s_B + B^-1 N s_N + t B^-1 K 1 = 0 for
+    # the basic columns B of K, which must have full column rank; then the
+    # cap row t + sigma = 1 and the objective row, minimize -t.
+    B = K[:, basis[:-1]]
+    assert np.linalg.matrix_rank(B) == r == np.linalg.matrix_rank(K)
+    expected = np.linalg.lstsq(B, np.column_stack([K[:, nonbasic[:-1]], K.sum(axis=1)]), rcond=None)[0]
+    assert np.allclose(T[:r, :-1], expected, atol=1e-9 * (1.0 + np.abs(expected).max(initial=0.0)))
+    assert not T[:r, -1].any()
+    t_unit = np.eye(1, p - r + 2, p - r)[0]
+    assert np.array_equal(T[r:], [t_unit + np.eye(1, p - r + 2, p - r + 1)[0], -t_unit])
+
+    # The same start as a full tableau (an identity column per basic
+    # variable) must take the same pivots to the same floats (== equates
+    # the two zeros; the right-hand side must match to the byte).
+    F = np.zeros((r + 2, p + 3))
+    F[:, np.r_[nonbasic, -1]] = T
+    F[np.arange(r + 1), basis] = 1.0
+    full_basis = basis.copy()
+    stall_limit = 1000 + 2 * basis.size if stall_limit is None else stall_limit
     max_iter = 4 * stall_limit if max_iter is None else max_iter
-    F, full_basis = _full_tableau(G)
-    outcome = _full_simplex_loop(F, full_basis, eps, piv_tol, max_iter, stall_limit)
+    outcome = _full_simplex_loop(F, full_basis, lp._PRICE_EPS, piv_tol, max_iter, stall_limit)
     status, pivots = outcome[:2]
-
-    T, basis, nonbasic = lp._tableau(G)
-    assert T.shape == (m + 2, 2 * k + 3)
-    assert lp.simplex_loop(T, basis, eps, piv_tol, max_iter, stall_limit, nonbasic) == status
-    # Same basis, and every condensed column holds the same floats as the
-    # full column of its variable (== equates the two zeros).
+    assert lp.simplex_loop(T, basis, lp._PRICE_EPS, piv_tol, max_iter, stall_limit, nonbasic) == status
     assert np.array_equal(basis, full_basis)
-    assert np.array_equal(np.sort(np.r_[basis, nonbasic]), np.arange(F.shape[1] - 1))
     assert np.array_equal(T, F[:, np.r_[nonbasic, -1]])
     assert T[:, -1].tobytes() == F[:, -1].tobytes()
     # Same pivot count: one pivot fewer than it took, it has not finished.
     if status != lp.ITERATION_LIMIT:
-        T, basis, nonbasic = lp._tableau(G)
-        assert lp.simplex_loop(T, basis, eps, piv_tol, pivots, stall_limit, nonbasic) == lp.ITERATION_LIMIT
+        T, basis, nonbasic = (a.copy() for a in start)
+        assert lp.simplex_loop(T, basis, lp._PRICE_EPS, piv_tol, pivots, stall_limit, nonbasic) == lp.ITERATION_LIMIT
 
-    # With the solver's own limits, the solve reads the same (t, witness) bytes.
-    if as_solved and status == lp.OPTIMAL:
-        x = np.zeros(F.shape[1] - 1)
-        x[full_basis] = F[:-1, -1]
-        r = lp._solve_once(G, eps)
-        assert np.float64(r.t).tobytes() == np.float64(x[2 * k] - x[2 * k + 1]).tobytes()
-        assert r.witness.tobytes() == (x[0:k] - x[k : 2 * k]).tobytes()
+    x = np.zeros(p + 2)
+    x[full_basis] = F[:-1, -1]
+    return outcome, x
+
+
+def _assert_margin_kernels_agree(G, **limits):
+    """The oracle on the margin LP of G, the positive-null LP of [G, -G, -I] from its slack basis.
+
+    Returns the oracle's (status, pivots, column ties, row ties).  With the
+    solver's own limits, ``lp_max_margin`` must read the same (t, u) bytes.
+    """
+    m, k = G.shape
+    start = lp._margin_tableau(G)
+    assert np.array_equal(start[0][:m, :-1], np.column_stack([-G, G, np.ones(m)]))
+    outcome, x = _assert_kernels_agree(np.hstack([G, -G, -np.eye(m)]), start, **limits)
+    if not limits and outcome[0] == lp.OPTIMAL:
+        r = lp_max_margin(G)
+        assert np.float64(r.t).tobytes() == x[2 * k + m].tobytes()
+        assert r.witness.tobytes() == (x[:k] - x[k : 2 * k]).tobytes()
     return outcome
+
+
+def _assert_null_kernels_agree(K):
+    """The oracle on the positive-null LP of K from its elimination start; returns the pivot count.
+
+    ``lp_positive_null`` must read the same (t, z) bytes.
+    """
+    p = K.shape[1]
+    (status, pivots, _, _), x = _assert_kernels_agree(K, lp._null_tableau(K))
+    assert status == lp.OPTIMAL
+    result = lp_positive_null(K)
+    assert np.float64(result.t).tobytes() == x[p].tobytes()
+    assert result.witness.tobytes() == (x[:p] + x[p]).tobytes()
+    return pivots
 
 
 def test_condensed_kernel_matches_full_tableau_on_tied_lps():
@@ -301,7 +329,7 @@ def test_condensed_kernel_matches_full_tableau_on_tied_lps():
             G = G[rng.integers(0, m, 2 * m)]
         if case % 4 == 0:
             G = normalize_rows(G + (G == 0).all(axis=1, keepdims=True))
-        status, _, c, r = _assert_kernels_agree(G)
+        status, _, c, r = _assert_margin_kernels_agree(G)
         optimal += status == lp.OPTIMAL
         col_ties += c
         row_ties += r
@@ -318,7 +346,7 @@ def test_condensed_kernel_matches_full_tableau_under_blands_rule():
         m = int(rng.integers(2, 15))
         k = int(rng.integers(1, 6))
         G = rng.integers(-3, 4, (m, k)).astype(float)
-        status, pivots, c, _ = _assert_kernels_agree(G, stall_limit=0, max_iter=500)
+        status, pivots, c, _ = _assert_margin_kernels_agree(G, stall_limit=0, max_iter=500)
         assert status == lp.OPTIMAL
         col_ties += c
     assert col_ties >= 50
@@ -334,57 +362,21 @@ def test_condensed_kernel_matches_full_tableau_when_unbounded_or_cut_short():
         if case % 2 == 0:
             # A pivot tolerance above most entries leaves improving columns
             # without an eligible row.
-            statuses.append(_assert_kernels_agree(G, piv_tol=float(rng.uniform(0.5, 2.0)))[0])
+            statuses.append(_assert_margin_kernels_agree(G, piv_tol=float(rng.uniform(0.5, 2.0)))[0])
         else:
-            statuses.append(_assert_kernels_agree(G, max_iter=int(rng.integers(0, 4)))[0])
+            statuses.append(_assert_margin_kernels_agree(G, max_iter=int(rng.integers(0, 4)))[0])
     assert {lp.UNBOUNDED, lp.ITERATION_LIMIT} <= set(statuses)
-    # The cap row alone: no margin row binds t, so t+ enters at the cap row.
-    assert _assert_kernels_agree(np.zeros((0, 2)))[:2] == (lp.OPTIMAL, 1)
+    # The cap row alone: no margin row binds t, so t enters at the cap row.
+    assert _assert_margin_kernels_agree(np.zeros((0, 2)))[:2] == (lp.OPTIMAL, 1)
 
 
-def _assert_null_kernels_agree(K):
-    """Check the crash start of the positive-null LP of K and pivot it with both kernels; returns the pivot count."""
-    n, p = K.shape
-    T, basis, nonbasic = lp._null_tableau(K)
-    r = basis.size - 1
-    assert T.shape == (r + 2, p - r + 2)
-    assert np.array_equal(np.sort(np.r_[basis, nonbasic]), np.arange(p + 2))
-    assert basis[-1] == p + 1 and nonbasic[-1] == p
+def _c10_lps(monkeypatch):
+    """Margin and generator LPs of twelve C10 trials, as the reports pass them.
 
-    # Start oracle: the pivot rows read s_B + B^-1 N s_N + t B^-1 K 1 = 0 for
-    # the chosen basic columns B of K, which must have full column rank.
-    B = K[:, basis[:-1]]
-    assert np.linalg.matrix_rank(B) == r == np.linalg.matrix_rank(K)
-    expected = np.linalg.lstsq(B, np.column_stack([K[:, nonbasic[:-1]], K.sum(axis=1)]), rcond=None)[0]
-    assert np.allclose(T[:r, :-1], expected, atol=1e-9 * (1.0 + np.abs(expected).max(initial=0.0)))
-    assert not T[:r, -1].any()
-    assert np.array_equal(T[r:], [np.eye(1, p - r + 2, p - r).ravel() + np.eye(1, p - r + 2, p - r + 1).ravel(),
-                                  -np.eye(1, p - r + 2, p - r).ravel()])
-
-    # The same start as a full tableau (an identity column per basic
-    # variable) must pivot to the same floats.
-    F = np.zeros((r + 2, p + 3))
-    F[:, np.r_[nonbasic, -1]] = T
-    F[np.arange(r + 1), basis] = 1.0
-    full_basis = basis.copy()
-    stall_limit = 1000 + 2 * basis.size
-    status, pivots, _, _ = _full_simplex_loop(F, full_basis, lp._PRICE_EPS, lp._PIVOT_TOL, 4 * stall_limit, stall_limit)
-    assert lp.simplex_loop(T, basis, lp._PRICE_EPS, lp._PIVOT_TOL, 4 * stall_limit, stall_limit, nonbasic) == status == lp.OPTIMAL
-    assert np.array_equal(basis, full_basis)
-    assert np.array_equal(T, F[:, np.r_[nonbasic, -1]])
-
-    x = np.zeros(p + 2)
-    x[full_basis] = F[:-1, -1]
-    result = lp._null_solve_once(K, lp._PRICE_EPS)
-    assert np.float64(result.t).tobytes() == np.float64(x[p]).tobytes()
-    assert result.witness.tobytes() == (x[:p] + x[p]).tobytes()
-    return pivots
-
-
-def test_condensed_kernel_matches_full_tableau_on_c10_lps(monkeypatch):
-    # The C10 cell has 1-d data with a bias, so its reports take the n-row
-    # generator LP; the margin route is called directly to keep the 80-row
-    # margin LPs covered as well.
+    The C10 cell has 1-d data with a bias, so its reports take the n-row
+    generator LP; the margin route is called directly to cover the 80-row
+    margin LPs as well, and must reach the same verdict.
+    """
     from test_optimize import _c10_region
 
     margin_lps, null_lps = [], []
@@ -405,10 +397,39 @@ def test_condensed_kernel_matches_full_tableau_on_c10_lps(monkeypatch):
             assert region_global_min_report(A, X, y, v).contains_zero_loss == general.contains_zero_loss
     assert len(margin_lps) >= 8 and len(null_lps) >= 8
     assert min(G.shape[0] for G in margin_lps) >= 60
-    pivots = [_assert_kernels_agree(G)[1] for G in margin_lps]
-    assert max(pivots) >= 20
     assert all(K.shape[0] == 5 for K in null_lps)
+    return margin_lps, null_lps
+
+
+def test_condensed_kernel_matches_full_tableau_on_c10_lps(monkeypatch):
+    margin_lps, null_lps = _c10_lps(monkeypatch)
+    assert max(_assert_margin_kernels_agree(G)[1] for G in margin_lps) >= 20
     assert max(_assert_null_kernels_agree(K) for K in null_lps) >= 2
+
+
+def test_margin_witness_bytes_pinned(monkeypatch):
+    # The sha256 of every (t, u) byte of lp_max_margin on tie-heavy integer
+    # G, on the 120 duplicated rows of the degenerate test (ties in every
+    # ratio test), and on the C10 margin LPs.  It was recorded with the free-variable (t+, t-) form of the margin
+    # LP: the slack-basis start must take the same pivots to the same floats.
+    rng = np.random.default_rng(56)
+    lps = []
+    for case in range(300):
+        m = int(rng.integers(1, 12))
+        k = int(rng.integers(1, 5))
+        G = rng.integers(-2, 3, (m, k)).astype(float)
+        if case % 3 == 0:
+            G = G[rng.integers(0, m, 2 * m)]
+        lps.append(G)
+    lps.append(_DUPLICATE_ROWS)
+    lps += _c10_lps(monkeypatch)[0]
+    digest = hashlib.sha256()
+    for G in lps:
+        r = lp_max_margin(G)
+        digest.update(np.float64(r.t).tobytes())
+        digest.update(r.witness.tobytes())
+    assert len(lps) == 312
+    assert digest.hexdigest() == "45b75c785e36c93c4cd53b9e31695af530e2aa6f380565b7c7ed0ecddf1e8dab"
 
 
 def test_positive_null_start_matches_full_tableau():
@@ -467,19 +488,7 @@ def test_null_tableau_bytes_match_reference_elimination(monkeypatch):
     # generator LPs of C10 reports (K as the report passes it), on small
     # integer K with dependent rows, zero columns and signed zeros, and on the
     # edge shapes of lp_positive_null.
-    from test_optimize import _c10_region
-
-    null_lps = []
-
-    def record(K):
-        null_lps.append(K)
-        return lp_positive_null(K)
-
-    monkeypatch.setattr(optimize, "lp_positive_null", record)
-    for seed in (11000000, 3400002, 300715):
-        for trial in range(4):
-            region_global_min_report(*_c10_region(seed, trial))
-    assert len(null_lps) >= 8
+    null_lps = _c10_lps(monkeypatch)[1]
     rng = np.random.default_rng(55)
     for case in range(150):
         n, p = int(rng.integers(1, 7)), int(rng.integers(1, 12))

@@ -89,6 +89,19 @@ def test_activation_pattern_threshold_row():
     assert np.array_equal(A.A, [[0, 1, 1]])
 
 
+def test_on_boundary_survives_overflowing_row_norms():
+    # Above about 1.3e154 a row's plain sum of squares overflows to inf, which
+    # would flag every preactivation as on a boundary.
+    p = Params([[1e160], [-1e160]], [0, 0], [1, -1])
+    A, degenerate = activation_pattern(p, [[-1, 1]])
+    assert not degenerate
+    assert np.array_equal(A.A, [[0, 1], [1, 0]])
+    W, X = np.array([[1e160, 1e160]]), np.array([[1.0, 1.0], [-1.0, -0.5]])
+    assert stacked_patterns(W, None, X, DEFAULT_TOL)[1]  # pre = 0 on the first column
+    assert not stacked_patterns(W, None, X[:, 1:], DEFAULT_TOL)[1]  # pre = 5e159
+    assert not stacked_patterns(np.ones((1, 1)), np.array([1e200]), np.ones((1, 1)), DEFAULT_TOL)[1]
+
+
 def test_jacobian_columns_single_unit():
     A = ActivationPattern([[1, 1]], bias_flag=False)
     out = design_matrix(A, [[2.0, 3.0]], [1.0]).T
