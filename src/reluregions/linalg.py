@@ -51,7 +51,12 @@ class Tol:
     lp_tol
         Feasibility margin threshold: a linear-inequality system counts as
         strictly feasible only when the optimized margin exceeds this value
-        after row normalization.
+        after row normalization.  It is also the relative band around zero
+        in which a sampled preactivation counts as on a region boundary
+        (``model.on_boundary``).  A zero-loss witness must clear the band
+        of min(lp_tol, ``DEFAULT_TOL.lp_tol``), so a coarse lp_tol moves
+        which draws are resampled, not the zero-loss verdicts
+        (``optimize.region_global_min_report``).
     """
 
     rank_tol: float = 1e-9

@@ -217,6 +217,28 @@ def loss(p: Params, data: Dataset) -> float:
     return 0.5 * float(r @ r)
 
 
+def _norms(V: np.ndarray, axis: int, extra) -> np.ndarray:
+    """Euclidean norms of the vectors along ``axis`` of ``V``, each with the entry ``extra`` appended unless it is None.
+
+    A sum of squares that overflows (entries above about 1e154) is
+    recomputed with its vector scaled by its largest entry first; every
+    finite sum keeps its bytes.
+    """
+    with np.errstate(over="ignore"):
+        sq = (V * V).sum(axis=axis)
+        if extra is not None:
+            sq = sq + extra * extra
+    norm = np.sqrt(sq)
+    big = np.isinf(norm)
+    if big.any():
+        vectors = np.moveaxis(V, axis, -1)[big]
+        if extra is not None:
+            vectors = np.column_stack([vectors, np.broadcast_to(extra, big.shape)[big]])
+        peak = np.abs(vectors).max(axis=1)
+        norm[big] = peak * np.sqrt(((vectors / peak[:, None]) ** 2).sum(axis=1))
+    return norm
+
+
 def on_boundary(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, pre: np.ndarray, tol: Tol) -> np.ndarray:
     """Whether any preactivation ``pre`` of ``W X (+ b)`` lies on a region boundary.
 
@@ -224,22 +246,9 @@ def on_boundary(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, pre: np.ndar
     relative to the norms of its (bias-embedded) weight row and input
     column.  Leading axes stack independent draws; the result keeps them.
     """
-    with np.errstate(over="ignore"):
-        row_sq = (W * W).sum(axis=-1)
-        if b is not None:
-            row_sq = row_sq + b * b
-    row_norm = np.sqrt(row_sq)
-    big = np.isinf(row_norm)
-    if big.any():
-        # Weights above about 1e154 overflow the sum of squares: scale those
-        # rows by their largest entry first.
-        rows = W[big] if b is None else np.column_stack([W[big], b[big]])
-        peak = np.abs(rows).max(axis=1)
-        row_norm[big] = peak * np.sqrt(((rows / peak[:, None]) ** 2).sum(axis=1))
-    col_sq = (X * X).sum(axis=-2)
-    if b is not None:
-        col_sq += 1.0
-    scale = row_norm[..., :, None] * np.sqrt(col_sq)[..., None, :]
+    row_norm = _norms(W, -1, b)
+    col_norm = _norms(X, -2, None if b is None else 1.0)
+    scale = row_norm[..., :, None] * col_norm[..., None, :]
     return (np.abs(pre) <= tol.lp_tol * scale).any(axis=(-2, -1))
 
 

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from reluregions import experiments
+from reluregions import experiments, optimize
 from reluregions.cli import main
 from reluregions.experiments import ExperimentConfig, grid_csv_text, run_globalmin_grid, run_rank_grid
 from reluregions.linalg import Tol
@@ -83,9 +83,12 @@ GLOBALMIN_GRIDS = {
         dict(n_values=(3, 5), d1_values=(2, 6, 12), d0_rule="2", trials=60, seed=32, labels="poly:2", init="sqrtd1", bias=False),
         "5a46c25fa3b389a892768e01a747dd431da248496def8f7f60fa712c7d58d54a",
     ),
+    # Re-pinned when the margin route began checking its witnesses: 16
+    # "yes" whose witnesses sat on a region boundary now read "no" (HiGHS
+    # agrees), in the cells (n, d1) = (4, 1), (4, 3) and (6, 1).
     "teacher_half_n": (
         dict(n_values=(4, 6), d1_values=(1, 3, 9), d0_rule="n/2", trials=60, seed=33, labels="teacher", init="he"),
-        "f86d3f0855182bc8d2d39031c3757767e597514d27e5d9e4203e5b5b110e0e4e",
+        "7987003f73dbf0adcc6729f3d6433471ca493ec102e4ea904168ea5810597d41",
     ),
     "teacher_no_bias_d0_1": (
         dict(n_values=(3, 5), d1_values=(2, 5, 10), d0_rule="1", trials=60, seed=34, labels="teacher", init="sqrtd1", bias=False),
@@ -105,13 +108,41 @@ def test_globalmin_grid_csv_pinned(name):
     assert _sha(grid_csv_text(run_globalmin_grid(ExperimentConfig(**kwargs)))) == digest
 
 
+# C10 (n = 5, d1 = 93) at the seed and trial count of its worker-count pin.
+C10 = dict(n_values=(5,), d1_values=(93,), d0_rule="1", trials=200, seed=110, labels="random", init="he")
+
+# Trials (cell index, trial) whose "yes" HiGHS answers "no", though their
+# witnesses pass the check: one unit must be exactly zero on the zero-loss
+# set, and the witness gives it weights of about 1e-17.  They wait for the
+# zero-row threshold of ROADMAP item 1 or the exact check of item 4.
+HIGHS_KNOWN = {"teacher_no_bias_d0_1": ((0, 28), (3, 36), (3, 41))}
+
+
+@pytest.mark.parametrize("name", sorted(GLOBALMIN_GRIDS) + ["c10"])
+def test_globalmin_grid_verdicts_match_highs(monkeypatch, name):
+    # A pin records the verdicts of its day; HiGHS on the merged problem
+    # checks that each one is right.
+    pytest.importorskip("scipy.optimize")
+    from test_optimize import _assert_verdicts_match_highs
+
+    kwargs = C10 if name == "c10" else GLOBALMIN_GRIDS[name][0]
+    cases = []
+
+    def recording(A, X, y, v, tol):
+        cases.append((A, X, y, v, optimize.region_global_min_report(A, X, y, v, tol)))
+        return cases[-1][-1]
+
+    monkeypatch.setattr(experiments, "region_global_min_report", recording)
+    run_globalmin_grid(ExperimentConfig(**kwargs))
+    trials = kwargs["trials"]
+    _assert_verdicts_match_highs(cases, [ci * trials + t for ci, t in HIGHS_KNOWN.get(name, ())])
+
+
 # One-trial blocks keep the worker path busy with many tasks.
 @pytest.mark.parametrize("workers, block_entries", [(1, None), (2, None), (4, None), (4, 1)])
 def test_c10_globalmin_grid_pinned_for_any_worker_count(monkeypatch, workers, block_entries):
     if block_entries is not None:
         monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", block_entries)
-    cfg = ExperimentConfig(
-        n_values=(5,), d1_values=(93,), d0_rule="1", trials=200, seed=110, labels="random", init="he", workers=workers
-    )
+    cfg = ExperimentConfig(**C10, workers=workers)
     digest = "14072383c89836e547a27cedbcdcd9c5aead70b1eee14380a6348dd45c186f8b"
     assert _sha(grid_csv_text(run_globalmin_grid(cfg))) == digest

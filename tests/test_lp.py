@@ -3,9 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from reluregions import ActivationPattern, lp, lp_max_margin, lp_positive_null, normalize_rows, optimize, region_global_min_report
+from reluregions import lp, lp_max_margin, lp_positive_null, normalize_rows, optimize, region_global_min_report
 from reluregions.errors import InputError, InvariantViolation
-from reluregions.linalg import DEFAULT_TOL
 
 
 @pytest.fixture(params=sorted(lp._KERNELS))
@@ -377,7 +376,7 @@ def _c10_lps(monkeypatch):
     generator LP; the margin route is called directly to cover the 80-row
     margin LPs as well, and must reach the same verdict.
     """
-    from test_optimize import _c10_region
+    from test_optimize import _c10_region, _margin_route
 
     margin_lps, null_lps = [], []
 
@@ -393,7 +392,7 @@ def _c10_lps(monkeypatch):
     for seed in (11000000, 3400002, 300715):
         for trial in range(4):
             A, X, y, v = _c10_region(seed, trial)
-            general = optimize._margin_report(A, ActivationPattern.lift(A, X), y, v, DEFAULT_TOL)
+            general = _margin_route(A, X, y, v)
             assert region_global_min_report(A, X, y, v).contains_zero_loss == general.contains_zero_loss
     assert len(margin_lps) >= 8 and len(null_lps) >= 8
     assert min(G.shape[0] for G in margin_lps) >= 60

@@ -102,6 +102,22 @@ def test_on_boundary_survives_overflowing_row_norms():
     assert not stacked_patterns(np.ones((1, 1)), np.array([1e200]), np.ones((1, 1)), DEFAULT_TOL)[1]
 
 
+def test_on_boundary_survives_overflowing_column_norms():
+    # The same for the inputs: a column above about 1.3e154 is scaled by its
+    # largest entry before its sum of squares, with no overflow warning.
+    p = Params([[1.0], [-1.0]], [0, 0], [1, -1])
+    A, degenerate = activation_pattern(p, [[-1e160, 1e160]])
+    assert not degenerate
+    assert np.array_equal(A.A, [[0, 1], [1, 0]])
+    # Stacked draws: a huge column in one draw leaves the other draw's answer.
+    W = np.ones((2, 1, 2))
+    X = np.array([[[1e160, 1.0], [-1e160, 2.0]], [[1.0, 1.0], [-1.0, 2.0]]])
+    assert stacked_patterns(W, None, X, DEFAULT_TOL)[1].tolist() == [True, True]
+    assert stacked_patterns(W, None, X[:, :, 1:], DEFAULT_TOL)[1].tolist() == [False, False]
+    X[0, 1, 0] = -0.5e160
+    assert stacked_patterns(W, np.zeros((2, 1)), X, DEFAULT_TOL)[1].tolist() == [False, True]
+
+
 def test_jacobian_columns_single_unit():
     A = ActivationPattern([[1, 1]], bias_flag=False)
     out = design_matrix(A, [[2.0, 3.0]], [1.0]).T

@@ -25,6 +25,7 @@ from reluregions import (
 )
 from reluregions import experiments, lp, onedim, optimize
 from reluregions.errors import InputError
+from reluregions.linalg import Tol
 from reluregions.onedim import all_step_vectors
 
 
@@ -219,28 +220,36 @@ def _dict_unit_classes(A, v):
     return label, np.unique(label, return_index=True)[1]
 
 
+# Both routes label units through _classes: the margin route by the ids of
+# the rows (row, sign of v), the generator route by step code and sign of v.
+# Either key gives the classes, numbered the same way, that the rows
+# themselves give.
+
+
 def test_unit_classes_match_dict_labelling():
+    # The margin route's key: row ids from _row_ids.
     rng = np.random.default_rng(15)
     shapes = [(400, 30), (93, 5), (50, 70), (40, 130), (1, 1), (7, 8), (12, 9)]
     for case in range(70):
         d1, n = shapes[case % len(shapes)]
         # Draw rows from a few distinct ones so classes repeat, with mixed
-        # signs of v inside one row, and distinct rows that share bytes
-        # before their last bits (n > 64 and n not a multiple of 8).
+        # signs of v inside one row, and distinct rows that differ only in
+        # their last bit.
         pool = rng.integers(0, 2, (int(rng.integers(1, 6)), n), dtype=np.int8)
         A = pool[rng.integers(0, pool.shape[0], d1)]
         if case % 2:
             A[rng.integers(0, d1, d1 // 4 + 1), -1] ^= 1
         v = rng.choice([-1.0, 1.0], d1) * rng.uniform(0.5, 2.0, d1)
-        label, first = optimize._unit_classes(A, v)
+        label, first = optimize._classes(optimize._row_ids(np.column_stack((A, v > 0.0))))
         expected_label, expected_first = _dict_unit_classes(A, v)
         assert np.array_equal(label, expected_label)
         assert np.array_equal(first, expected_first)
+    label, first = optimize._classes(np.zeros(0, dtype=int))
+    assert label.size == first.size == 0
 
 
 def test_step_classes_match_dict_labelling():
-    # The generator route labels units by step code and sign of v: the same
-    # classes, numbered the same way, as the rows themselves give.
+    # The generator route's key: step code and sign of v.
     rng = np.random.default_rng(16)
     for case in range(80):
         n = int(rng.integers(1, 9))
@@ -256,22 +265,19 @@ def test_step_classes_match_dict_labelling():
             v = np.abs(v)
         _, k, variant = onedim._step_codes(A)
         assert k.all()
-        label, first = optimize._step_classes(k, variant, v)
+        label, first = optimize._classes((2 * k + variant) * 2 + (v > 0.0))
         expected_label, expected_first = _dict_unit_classes(A, v)
         assert np.array_equal(label, expected_label)
         assert np.array_equal(first, expected_first)
-    empty = np.zeros(0, dtype=int)
-    label, first = optimize._step_classes(empty, empty, np.zeros(0))
-    assert label.size == first.size == 0
 
 
 def test_generator_route_labels_units_without_unit_classes(monkeypatch):
-    # The 1-d route classes units by their step codes; _unit_classes serves
-    # the margin route only.
+    # The 1-d route classes units by their step codes; the row path
+    # (_row_ids) serves the margin route only.
     def refused(*args):
-        raise AssertionError("_unit_classes called on the 1-d route")
+        raise AssertionError("_row_ids called on the 1-d route")
 
-    monkeypatch.setattr(optimize, "_unit_classes", refused)
+    monkeypatch.setattr(optimize, "_row_ids", refused)
     rng = np.random.default_rng(17)
     x = _sorted_x(rng, 6)
     A = ActivationPattern(random_complete_step_matrix(6, _alternating(14), rng))
@@ -432,7 +438,7 @@ def test_near_coincident_c10_yes_is_witnessed_by_the_bisector_lp(monkeypatch, se
     solves = []
     null = optimize.lp_positive_null
     monkeypatch.setattr(optimize, "lp_positive_null", lambda K: solves.append(K.shape[1]) or null(K))
-    monkeypatch.setattr(optimize, "_margin_report", None)
+    monkeypatch.setattr(optimize, "_margin_parts", None)
     report = region_global_min_report(A, X, y, v)
     # One column per ray, then one per class, each with the column -y.
     [rays, classes] = solves
@@ -564,12 +570,18 @@ def test_report_passes_g_as_only_positional_argument(monkeypatch):
 
 
 def _margin_route(A, X, y, v, tol=DEFAULT_TOL):
-    """The report of the margin LP over every region row, which serves every input the generator LP does not."""
-    return optimize._margin_report(A, ActivationPattern.lift(A, X), y, v, tol)
+    """The report of the margin route, which serves every input the generator route does not take.
+
+    The one seam that forces it on 1-d data with a bias: the generator
+    route declines the input.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_generator_parts", lambda *args: None)
+        return region_global_min_report(A, X, y, v, tol)
 
 
 def _cell_regions(**kwargs):
-    """(pattern, X, y, v) of every trial of a globalmin grid config, as the grid draws them."""
+    """(pattern, X, y, v) of every trial of a globalmin grid config, as the grid draws them (resampled at its ``tol``)."""
     cfg = experiments.ExperimentConfig(**kwargs)
     regions = []
     for ci, cell in enumerate(cfg.cells()):
@@ -588,8 +600,8 @@ def test_generator_lp_matches_margin_route_on_1d_cells(labels, init, seed):
     for A, X, y, v in _cell_regions(
         n_values=(3, 7, 16), d1_values=(2, 9, 40, 200), d0_rule="1", trials=12, seed=seed, labels=labels, init=init
     ):
-        report = optimize._generator_report(A, ActivationPattern.lift(A, X), y, v, DEFAULT_TOL)
-        assert report is not None
+        assert optimize._generator_parts(A, ActivationPattern.lift(A, X), y, v, DEFAULT_TOL) is not None
+        report = region_global_min_report(A, X, y, v)
         general = _margin_route(A, X, y, v)
         assert (report.contains_zero_loss, report.solution_dim) == (general.contains_zero_loss, general.solution_dim)
         if report.contains_zero_loss:
@@ -605,57 +617,100 @@ def _highs_merged_margin(scipy_optimize, A, X, y, v):
     """Test oracle: HiGHS on the merged zero-loss problem in weight coordinates.
 
     Maximizes t subject to D theta = y, (2 A_cj - 1) <xhat_j, theta_c> >=
-    t |xhat_j| and t <= 1, with D the merged design matrix.  It needs no
-    null-space basis, so it has no roundoff-zero region rows; a margin above
-    lp_tol means the zero-loss set meets the open region.
+    t |xhat_j| and t <= 1, with D the merged design matrix and xhat_j the
+    (bias-lifted) input column.  It needs no null-space basis, so it has no
+    roundoff-zero region rows; a margin above lp_tol means the zero-loss set
+    meets the open region.
     """
-    _, first = optimize._unit_classes(A.A, v)
-    merged = ActivationPattern(A.A[first])
+    _, first = _dict_unit_classes(A.A, v)
+    merged = ActivationPattern(A.A[first], A.bias_flag)
     D = design_matrix(merged, X, np.sign(v[first]))
-    Xh = embed_ones(X)
+    Xh = ActivationPattern.lift(merged, X)
     C, n = merged.A.shape
-    R = np.zeros((C * n, 2 * C))
+    block = Xh.shape[0]
+    R = np.zeros((C * n, C * block))
     for c in range(C):
-        R[c * n : (c + 1) * n, 2 * c : 2 * c + 2] = (2.0 * merged.A[c] - 1.0)[:, None] * Xh.T / np.linalg.norm(Xh, axis=0)[:, None]
+        R[c * n : (c + 1) * n, c * block : (c + 1) * block] = (2.0 * merged.A[c] - 1.0)[:, None] * (Xh / np.linalg.norm(Xh, axis=0)).T
     result = scipy_optimize.linprog(
-        c=np.r_[np.zeros(2 * C), -1.0],
+        c=np.r_[np.zeros(C * block), -1.0],
         A_ub=np.hstack([-R, np.ones((C * n, 1))]),
         b_ub=np.zeros(C * n),
         A_eq=np.hstack([D, np.zeros((n, 1))]),
         b_eq=y,
-        bounds=[(None, None)] * (2 * C) + [(None, 1.0)],
+        bounds=[(None, None)] * (C * block) + [(None, 1.0)],
         method="highs",
     )
     assert result.status in (0, 2)  # optimal, or the targets are out of reach
     return -result.fun if result.status == 0 else float("-inf")
 
 
-@pytest.mark.parametrize("n_values,d1_values,seed,trials", [((4,), (12,), 11, 400), ((3, 5), (2, 5, 10), 34, 60)])
-def test_generator_lp_on_teacher_cells_only_drops_boundary_yes(n_values, d1_values, seed, trials):
-    # Teacher targets can put the zero-loss set on a region boundary, where
-    # the margin route's roundoff-zero rows answer a wrong "yes".  The
-    # generator LP has no such rows: every disagreement must be a margin
-    # "yes" turned "no", and HiGHS (when scipy is present) must side with
-    # the generator LP on every trial.
+def _assert_verdicts_match_highs(cases, known=()):
+    """Every "yes" witness of ``cases`` (pattern, X, y, v, report) passes the zero-loss-fit rule, and,
+    with scipy present, the verdicts that differ from HiGHS's are exactly those at the indices ``known``.
+    """
+    for A, X, y, v, report in cases:
+        if report.contains_zero_loss:
+            assert _zero_loss_fit(report.witness, A, X, y)
     try:
         from scipy import optimize as scipy_optimize
     except ImportError:
-        scipy_optimize = None
-    disagree = yes = 0
-    for A, X, y, v in _cell_regions(
-        n_values=n_values, d1_values=d1_values, d0_rule="1", trials=trials, seed=seed, labels="teacher", init="he"
-    ):
-        report = region_global_min_report(A, X, y, v)
-        general = _margin_route(A, X, y, v)
-        if report.contains_zero_loss != general.contains_zero_loss:
-            disagree += 1
-            assert general.contains_zero_loss and report.margin <= DEFAULT_TOL.lp_tol
-        if report.contains_zero_loss:
-            yes += 1
-            assert _zero_loss_fit(report.witness, A, X, y)
-        if scipy_optimize is not None:
-            assert report.contains_zero_loss == (_highs_merged_margin(scipy_optimize, A, X, y, v) > DEFAULT_TOL.lp_tol)
-    assert disagree >= 5 and yes >= 30
+        return
+    differ = [
+        i
+        for i, (A, X, y, v, report) in enumerate(cases)
+        if report.contains_zero_loss != (_highs_merged_margin(scipy_optimize, A, X, y, v) > DEFAULT_TOL.lp_tol)
+    ]
+    assert differ == sorted(known)
+
+
+def _reports(tol=DEFAULT_TOL, **kwargs):
+    """(pattern, X, y, v, report) of every trial of a globalmin grid config, the report taken at ``tol``."""
+    return [(A, X, y, v, region_global_min_report(A, X, y, v, tol)) for A, X, y, v in _cell_regions(tol=tol, **kwargs)]
+
+
+@pytest.mark.parametrize("n_values,d1_values,seed,trials", [((4,), (12,), 11, 400), ((3, 5), (2, 5, 10), 34, 60)])
+def test_teacher_1d_cells_match_highs(n_values, d1_values, seed, trials):
+    # Teacher targets can put the zero-loss set on a region boundary.  The
+    # generator LP has no roundoff-zero rows there: every "yes" passes the
+    # zero-loss-fit rule, and HiGHS (when scipy is present) agrees with
+    # every verdict.
+    cases = _reports(n_values=n_values, d1_values=d1_values, d0_rule="1", trials=trials, seed=seed, labels="teacher", init="he")
+    assert sum(report.contains_zero_loss for *_, report in cases) >= 30
+    _assert_verdicts_match_highs(cases)
+
+
+# Trials (cell index, trial) of the seed-333 teacher grid whose "yes" HiGHS
+# answers "no".  In each, one unit must be exactly zero on the zero-loss set
+# yet active at some point: the witness gives it weights of about 1e-17,
+# whose relative preactivations clear the boundary band and whose outputs
+# fit y to roundoff.  The zero-row threshold of ROADMAP item 1 or item 4's
+# exact check must settle them.
+TEACHER_333_KNOWN = ((0, 30), (2, 239))
+
+
+@pytest.mark.parametrize("seed,trials", [(33, 60), (333, 400)])
+def test_teacher_cells_with_d0_at_least_2_match_highs(seed, trials):
+    # The teacher_half_n grid config (d0 = n/2) and its 400-trial draw at
+    # seed 333: the margin route's "yes" once went out unchecked, and 16 of
+    # 157 and 32 of 791 of its witnesses sat on a region boundary.
+    d1_values, known = ((1, 3, 9), ()) if seed == 33 else ((3, 9), TEACHER_333_KNOWN)
+    cases = _reports(n_values=(4, 6), d1_values=d1_values, d0_rule="n/2", trials=trials, seed=seed, labels="teacher", init="he")
+    assert sum(report.contains_zero_loss for *_, report in cases) >= 100
+    _assert_verdicts_match_highs(cases, [ci * trials + t for ci, t in known])
+
+
+def test_coarse_lp_tol_moves_no_1d_verdict():
+    # A coarse lp_tol widens the band in which sampled draws are resampled,
+    # not the band a witness must clear: on draws resampled at lp_tol 0.05
+    # every verdict equals the verdict at the default tol, and HiGHS's.
+    # With the witness band at 0.05 instead, 16 of these 360 regions read
+    # "no" at margin 1, though each witness clears the default band.
+    kwargs = dict(n_values=(3, 5), d1_values=(2, 4, 8), d0_rule="1", trials=60, seed=36, labels="random", init="he")
+    cases = _reports(tol=Tol(lp_tol=0.05), **kwargs)
+    for A, X, y, v, report in cases:
+        assert region_global_min_report(A, X, y, v).contains_zero_loss == report.contains_zero_loss
+    assert sum(report.contains_zero_loss for *_, report in cases) >= 40
+    _assert_verdicts_match_highs(cases)
 
 
 def test_generator_lp_falls_back_to_margin_route(monkeypatch):
@@ -665,30 +720,26 @@ def test_generator_lp_falls_back_to_margin_route(monkeypatch):
     A = ActivationPattern(random_complete_step_matrix(n, v, rng))
     X = _sorted_x(rng, n)[None, :]
     y = rng.uniform(-1.0, 1.0, n)
+    general = _margin_route(A, X, y, v)
+    assert general.contains_zero_loss
     solves = []
-    margin_reports = []
+    margin_parts = []
 
     def bogus_yes(K):
         solves.append(K.shape)
         return lp.MarginResult(1.0, np.ones(K.shape[1]))
 
-    def counted_margin_report(*args):
-        margin_reports.append(args)
-        return margin_report(*args)
-
     # A "yes" whose witness misses the targets is never returned, and the
     # margin route does not decide the region again: after the bisector LP's
     # witness fails as well, the report reads "no" at the generator LP's
     # margin.
-    margin_report = optimize._margin_report
     monkeypatch.setattr(optimize, "lp_positive_null", bogus_yes)
-    monkeypatch.setattr(optimize, "_margin_report", counted_margin_report)
-    report = region_global_min_report(A, X, y, v)
-    classes = len(optimize._unit_classes(A.A, v)[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_margin_parts", lambda *args: margin_parts.append(args))
+        report = region_global_min_report(A, X, y, v)
+    classes = len(_dict_unit_classes(A.A, v)[1])
     assert solves == [(n, 2 * classes + 1), (n, classes + 1)]
-    assert margin_reports == []
-    general = margin_report(A, ActivationPattern.lift(A, X), y, v, DEFAULT_TOL)
-    assert general.contains_zero_loss
+    assert margin_parts == []
     assert (report.contains_zero_loss, report.witness, report.margin) == (False, None, 1.0)
     assert report.solution_dim == general.solution_dim
 
@@ -722,9 +773,9 @@ def test_margin_route_never_runs_after_the_generator_lp(monkeypatch):
     non_step = ActivationPattern([[1, 0, 1], [1, 1, 1]])
     regions.append((non_step, np.array([[0.1, 0.5, 0.9]]), np.zeros(3), _alternating(2)))
     calls = []
-    null, margin_report = optimize.lp_positive_null, optimize._margin_report
+    null, margin_parts = optimize.lp_positive_null, optimize._margin_parts
     monkeypatch.setattr(optimize, "lp_positive_null", lambda K: calls.append("generator") or null(K))
-    monkeypatch.setattr(optimize, "_margin_report", lambda *args: calls.append("margin") or margin_report(*args))
+    monkeypatch.setattr(optimize, "_margin_parts", lambda *args: calls.append("margin") or margin_parts(*args))
     routes = []
     for A, X, y, v in regions:
         calls.clear()
