@@ -39,11 +39,6 @@ class Polyline:
     def n_points(self) -> int:
         return self.vertices.shape[1]
 
-    def segments(self):
-        """Consecutive vertex pairs."""
-        V = self.vertices
-        return [(V[i], V[i + 1]) for i in range(V.shape[0] - 1)]
-
     def distance(self, point) -> float:
         """Euclidean distance from a point to the polyline."""
         p = as_vector(point, name="point")

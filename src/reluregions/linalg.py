@@ -123,7 +123,7 @@ def embed_ones(X) -> np.ndarray:
 def normalize_rows(G) -> np.ndarray:
     """Scale each row to unit Euclidean norm; zero rows are left untouched."""
     G = as_matrix(G, name="G")
-    norms = np.linalg.norm(G, axis=1)
+    norms = _norms(G, -1, None)
     out = G.copy()
     nz = norms > 0.0
     out[nz] /= norms[nz, None]
@@ -146,6 +146,29 @@ def _norm(v) -> float:
             x = x / top
             return top * math.sqrt(np.vdot(x, x))
     return math.sqrt(squares)
+
+
+def _norms(V: np.ndarray, axis: int, extra) -> np.ndarray:
+    """Euclidean norms of the vectors along ``axis`` of ``V``, each with the entry ``extra`` appended unless it is None.
+
+    A sum of squares that overflows (entries above about 1e154) is
+    recomputed with its vector scaled by its largest entry first; every
+    finite sum keeps its bytes, so without ``extra`` a finite norm has the
+    bits of ``np.linalg.norm(V, axis=axis)``.
+    """
+    with np.errstate(over="ignore"):
+        sq = (V * V).sum(axis=axis)
+        if extra is not None:
+            sq = sq + extra * extra
+    norm = np.sqrt(sq)
+    big = np.isinf(norm)
+    if big.any():
+        vectors = np.moveaxis(V, axis, -1)[big]
+        if extra is not None:
+            vectors = np.column_stack([vectors, np.broadcast_to(extra, big.shape)[big]])
+        peak = np.abs(vectors).max(axis=1)
+        norm[big] = peak * np.sqrt(((vectors / peak[:, None]) ** 2).sum(axis=1))
+    return norm
 
 
 def _rank(s: np.ndarray, tol: Tol) -> np.ndarray:
@@ -179,11 +202,7 @@ def nullspace_basis(M, tol: Tol = DEFAULT_TOL) -> np.ndarray:
 
     Always satisfies ``rank + basis.shape[1] == cols``.
     """
-    A = as_matrix(M, name="M")
-    cols = A.shape[1]
-    if A.size == 0:
-        return np.eye(cols)[:, :cols] if cols else np.zeros((0, 0))
-    _, s, vt = np.linalg.svd(A)
+    _, s, vt = np.linalg.svd(as_matrix(M, name="M"))
     return vt[_rank(s, tol):].T.copy()
 
 

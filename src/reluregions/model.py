@@ -42,6 +42,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tol,
     _norm,
+    _norms,
     as_matrix,
     as_vector,
     embed_ones,
@@ -138,10 +139,6 @@ class Params:
     def d0(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def has_bias(self) -> bool:
-        return self.b is not None
-
 
 class PatternOnData:
     """A pattern over the points of a dataset: ``n`` columns and a ``bias_flag``."""
@@ -215,28 +212,6 @@ def loss(p: Params, data: Dataset) -> float:
     """Squared-error loss, half the squared residual norm."""
     r = forward(p, data.X) - data.y
     return 0.5 * float(r @ r)
-
-
-def _norms(V: np.ndarray, axis: int, extra) -> np.ndarray:
-    """Euclidean norms of the vectors along ``axis`` of ``V``, each with the entry ``extra`` appended unless it is None.
-
-    A sum of squares that overflows (entries above about 1e154) is
-    recomputed with its vector scaled by its largest entry first; every
-    finite sum keeps its bytes.
-    """
-    with np.errstate(over="ignore"):
-        sq = (V * V).sum(axis=axis)
-        if extra is not None:
-            sq = sq + extra * extra
-    norm = np.sqrt(sq)
-    big = np.isinf(norm)
-    if big.any():
-        vectors = np.moveaxis(V, axis, -1)[big]
-        if extra is not None:
-            vectors = np.column_stack([vectors, np.broadcast_to(extra, big.shape)[big]])
-        peak = np.abs(vectors).max(axis=1)
-        norm[big] = peak * np.sqrt(((vectors / peak[:, None]) ** 2).sum(axis=1))
-    return norm
 
 
 def on_boundary(W: np.ndarray, b: np.ndarray | None, X: np.ndarray, pre: np.ndarray, tol: Tol) -> np.ndarray:

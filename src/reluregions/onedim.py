@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .linalg import DEFAULT_TOL, Tol, as_int, as_vector
+from .linalg import DEFAULT_TOL, Tol, _norm, as_int, as_vector
 from .model import ActivationPattern, Params, _witness_fault, checked_head, on_boundary
 
 __all__ = [
@@ -290,7 +290,9 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
     A vanishing residual step would produce a zero hinge (and a boundary
     parameter), so that pair falls back to a shared unit-size hinge whose
     contributions cancel exactly.  Raises ``InputError`` when two neighbours
-    are too close for any unit switching between them to be non-degenerate.
+    are too close for any unit switching between them to be non-degenerate,
+    or when a fit that misses its target has terms so large that the
+    residual check's own rounding bound exceeds ``residual_tol``.
     """
     M, k, variant = _step_codes_on(A, D)
     d1, n = M.shape
@@ -303,14 +305,13 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
     # Every switching row of the construction crosses zero at the midpoint of
     # two neighbours; one stacked unit per midpoint flags the pairs so close
     # that such a unit is degenerate, which admit no strict fit.
-    if n > 1:
-        units = np.ones((n - 1, 1, 1))
-        offsets = -0.5 * (x[:-1] + x[1:])[:, None]
-        X = D.as_columns()
-        too_close = np.flatnonzero(on_boundary(units, offsets, X, units @ X + offsets[..., None], tol))
-        if too_close.size:
-            j = too_close[0]
-            raise InputError(f"points {float(x[j])!r} and {float(x[j + 1])!r} are too close to separate strictly")
+    units = np.ones((n - 1, 1, 1))
+    offsets = -0.5 * (x[:-1] + x[1:])[:, None]
+    X = D.as_columns()
+    too_close = np.flatnonzero(on_boundary(units, offsets, X, units @ X + offsets[..., None], tol))
+    if too_close.size:
+        j = too_close[0]
+        raise InputError(f"points {float(x[j])!r} and {float(x[j + 1])!r} are too close to separate strictly")
 
     # Key rows: the first suffix row per (threshold, output sign), so that
     # key[t, 1] is the positive and key[t, 0] the negative row of threshold t.
@@ -353,8 +354,19 @@ def fit_exact_1d(A, D: Sorted1D, v, tol: Tol = DEFAULT_TOL) -> Params:
         b[i] = scale * hb
 
     params = Params(w[:, None], b, v)
-    fault = _witness_fault(params, M, D.as_columns(), y, tol)
+    fault = _witness_fault(params, M, X, y, tol)
     if fault:
+        # Hinges between neighbours a gap apart are as steep as 1/gap and stay
+        # active to the right, so on close points the terms of the output can
+        # grow until the check's own rounding exceeds residual_tol: the output
+        # takes d1 + 3 rounded operations per term, an error of at most
+        # (d1 + 3) u (sum_i |v_i| (|w_i x| + |b_i|) + |y|) over the active rows,
+        # with u the unit roundoff.
+        wx = np.outer(w, x)
+        terms = np.abs(v) @ ((wx + b[:, None] > 0.0) * (np.abs(wx) + np.abs(b)[:, None]))
+        if tol.misses((d1 + 3) * 0.5 * np.finfo(float).eps * _norm(terms + np.abs(y)), y):
+            j = int(np.argmin(np.diff(x)))
+            raise InputError(f"points {float(x[j])!r} and {float(x[j + 1])!r} are too close to fit exactly in floating point")
         raise InvariantViolation(f"exact fit {fault}")
     return params
 

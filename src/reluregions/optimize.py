@@ -25,16 +25,19 @@ these verdicts.  Two routes pose the LP:
 * Margin route, for every other input: units are classed by their rows and
   signs of v (``_row_ids``).  Its one attempt is ``lp_max_margin`` over one inequality row
   per (merged unit, data point), on a null-space basis of the design matrix.
+  A row that is zero in exact arithmetic is set to exact zero
+  (``_ZERO_ROW_ULPS``), so a zero-loss set inside a region hyperplane reads
+  "no".
 
 Each route only produces its parts: the unit classes (``_classes``), the
-lifted block size, the least-squares residual, and a generator of steps
-that yields the rank of the merged design and then its LP attempts in
-order, each an LP result with the map from its witness to one weight block
-per class.  The steps run only as far as the tail asks.  One tail in
-``region_global_min_report`` does the rest for both: targets out of reach
-(``Tol.misses``) read "no" at once, the first attempt's optimum is the
-report's margin, and a "yes" goes out only with a witness that
-``model._witness_fault`` passes.
+lifted block size, the rank of the merged design and the least-squares
+residual, both from one SVD (``_svd_fit``), and a generator of its LP
+attempts in order, each an LP result with the map from its witness to one
+weight block per class.  The attempts run only as far as the tail asks.
+One tail in ``region_global_min_report`` does the rest for both: targets
+out of reach (``Tol.misses``) read "no" at once, the first attempt's
+optimum is the report's margin, and a "yes" goes out only with a witness
+that ``model._witness_fault`` passes.
 """
 
 from __future__ import annotations
@@ -47,12 +50,14 @@ from .linalg import (
     DEFAULT_TOL,
     Tol,
     _norm,
+    _norms,
     _rank,
     as_vector,
     khatri_rao,
     least_squares_min_norm,
     normalize_rows,
     nullspace_basis,
+    stacked_khatri_rao,
 )
 from .lp import lp_max_margin, lp_positive_null
 from .model import ActivationPattern, Params, _witness_fault, checked_head
@@ -64,6 +69,16 @@ __all__ = [
     "zero_loss_set",
     "region_global_min_report",
 ]
+
+# Row (c, j) of the margin LP is xhat_j^T times block c of the k unit columns
+# [N, theta0 / |theta0|], so its norm is at most |xhat_j| sqrt(k).  Those
+# columns come from one SVD of the C * block columns of the design matrix,
+# whose backward error is a modest multiple of eps times that column count.
+# A row of norm at most _ZERO_ROW_ULPS * C * block * eps * sqrt(k) * |xhat_j|
+# is therefore roundoff of a row that is zero in exact arithmetic, and is set
+# to exact zero: the zero-loss set lies in that region hyperplane, and the
+# zero row forces t <= 0.
+_ZERO_ROW_ULPS = 30.0
 
 
 @dataclass(frozen=True)
@@ -186,14 +201,14 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
     y = as_vector(y, name="y")
     v = checked_head(v, A.d1)
     parts = _generator_parts(A, Xh, y, v, tol) if A.bias_flag and Xh.shape[0] == 2 and A.n >= 2 else None
-    label, block, residual, steps = parts or _margin_parts(A, Xh, y, v, tol)
+    label, block, rank, residual, attempts = parts or _margin_parts(A, Xh, y, v, tol)
     if tol.misses(residual, y):
         return RegionMinReport(False, None, None, float("-inf"))
-    solution_dim = A.d1 * block - next(steps)
+    solution_dim = A.d1 * block - rank
     check = tol if tol.lp_tol <= DEFAULT_TOL.lp_tol else replace(tol, lp_tol=DEFAULT_TOL.lp_tol)
     X = Xh[:-1] if A.bias_flag else Xh
     margin = None
-    for result, theta_of in steps:
+    for result, theta_of in attempts:
         margin = result.t if margin is None else margin
         if result.t <= tol.lp_tol:
             break
@@ -214,14 +229,22 @@ def _class_witness(theta: np.ndarray, label: np.ndarray, v: np.ndarray, bias: bo
     return Params(blocks[:, :-1], blocks[:, -1], v) if bias else Params(blocks, None, v)
 
 
+def _svd_fit(M: np.ndarray, y: np.ndarray, tol: Tol, full_matrices: bool = False):
+    """One SVD of ``M``: its rank r (``_rank``), the residual |y - U_r U_r^T y| of y off its column span, and U, s, Vt."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=full_matrices)
+    rank = int(_rank(s, tol))
+    Ur = U[:, :rank]
+    return rank, _norm(y - Ur @ (Ur.T @ y)), U, s, Vt
+
+
 def _generator_parts(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.ndarray, tol: Tol):
-    """The generator route's parts (labels, block, residual, steps) for a pattern on 1-d data with a bias.
+    """The generator route's parts (labels, block, rank, residual, attempts) for a pattern on 1-d data with a bias.
 
     None for input the route does not take: fewer than two distinct points
     or a row that is not a step vector.  One ``_step_codes`` pass over the
     pattern with its columns sorted gives every unit's step code, and with
-    it the unit's class and the code of the merged row.  The steps yield the
-    rank, then the generator LP, then the bisector LP.
+    it the unit's class and the code of the merged row.  The attempts are
+    the generator LP, then the bisector LP.
     """
     x = Xh[0]
     order = np.argsort(x, kind="stable")
@@ -255,13 +278,7 @@ def _generator_parts(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.
 
     # F spans the columns of the merged design matrix, so its SVD gives the
     # rank and the reachability test of the margin route.
-    rank = 0
-    residual = _norm(ys)
-    if F.size:
-        U, s, _ = np.linalg.svd(F, full_matrices=False)
-        rank = int(_rank(s, tol))
-        U = U[:, :rank]
-        residual = _norm(ys - U @ (U.T @ ys))
+    rank, residual, *_ = _svd_fit(F, ys, tol)
 
     def theta(z, per_class):
         # A class inactive everywhere is not in F; lambda = 1 on both of its
@@ -271,44 +288,49 @@ def _generator_parts(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.
         weights = lam * sigma
         return np.column_stack([weights.sum(axis=1), -(weights * xs[anchors]).sum(axis=1)])
 
-    def steps():
-        yield rank
+    def attempts():
         yield lp_positive_null(K), lambda z: theta(z, 2)
         # A vertex of the generator LP can put a hinge within lp_tol of a data
         # point, or need weights whose rounding misses y.  The LP over each
         # wedge's bisector asks for a central point of the same zero-loss set.
         yield lp_positive_null(np.column_stack([F[:, 0::2] + F[:, 1::2], -ys])), lambda z: theta(z, 1)
 
-    return label, 2, residual, steps()
+    return label, 2, rank, residual, attempts()
 
 
 def _margin_parts(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.ndarray, tol: Tol):
-    """The margin route's parts (labels, block, residual, steps).
+    """The margin route's parts (labels, block, rank, residual, attempts).
 
-    The steps yield the rank from a null-space basis N of the merged design
-    matrix, then the margin LP over every region row of the merged pattern.
+    One full SVD of the merged design matrix D gives its rank, the
+    residual, the minimum-norm zero-loss point theta0 = V_r S_r^-1 U_r^T y
+    and the kernel basis N (the trailing rows of V^T).  The one attempt is
+    the margin LP over every region row of the merged pattern.
     """
     label, first = _classes(_row_ids(np.column_stack((A.A, v > 0.0))))
-    # The merged pattern reads the lifted inputs, so it carries no bias flag.
-    merged = ActivationPattern(A.A[first], bias_flag=False)
-    D = design_matrix(merged, Xh, np.sign(v[first]))
-    theta0, residual = least_squares_min_norm(D, y, tol)
-    C, n = merged.A.shape
+    # The merged units read the lifted inputs: D is design_matrix of the
+    # merged rows with the signs of their heads.
+    M = A.A[first]
+    D = stacked_khatri_rao(np.sign(v[first])[:, None] * M, Xh).T
+    rank, residual, U, s, Vt = _svd_fit(D, y, tol, full_matrices=True)
+    C, n = M.shape
     block = Xh.shape[0]
 
-    def steps():
-        N = nullspace_basis(D, tol)
+    def attempts():
+        theta0 = Vt[:rank].T @ ((U[:, :rank].T @ y) / s[:rank])
+        N = Vt[rank:].T
         q = N.shape[1]
-        yield C * block - q
         # Region inequality (c, j): (2 A_cj - 1) <xhat_j, theta block c> > 0,
         # taken on the columns of [N, theta0 / |theta0|] (theta0 = 0 drops the
         # tau column, and with it the row tau >= t).
-        scale = float(np.linalg.norm(theta0))
+        scale = _norm(theta0)
         cols = np.hstack([N, theta0[:, None] / scale]) if scale > 0.0 else N
-        rows = (2.0 * merged.A - 1.0)[:, :, None] * (Xh.T @ cols.reshape(C, block, cols.shape[1]))
-        G = normalize_rows(rows.reshape(C * n, cols.shape[1]))
+        k = cols.shape[1]
+        rows = (2.0 * M - 1.0)[:, :, None] * (Xh.T @ cols.reshape(C, block, k))
+        floor = _ZERO_ROW_ULPS * C * block * np.finfo(float).eps * np.sqrt(k) * _norms(Xh, -2, None)
+        rows[_norms(rows, -1, None) <= floor] = 0.0
+        G = normalize_rows(rows.reshape(C * n, k))
         if scale > 0.0:
             G = np.vstack([G, np.eye(1, q + 1, q)])
         yield lp_max_margin(G), lambda u: (theta0 + N @ u[:q] * (scale / u[q]) if scale > 0.0 else N @ u).reshape(C, block)
 
-    return label, block, residual, steps()
+    return label, block, rank, residual, attempts()

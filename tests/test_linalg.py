@@ -59,6 +59,13 @@ def test_nullspace_single_row():
     assert np.allclose(direction, np.array([1.0, -1.0]) / np.sqrt(2.0))
 
 
+def test_nullspace_of_empty_matrices():
+    # No rows leave every direction free; no columns leave no direction.
+    assert np.array_equal(nullspace_basis(np.zeros((0, 3))), np.eye(3))
+    assert nullspace_basis(np.zeros((3, 0))).shape == (0, 0)
+    assert nullspace_basis(np.zeros((0, 0))).shape == (0, 0)
+
+
 def test_rank_nullity_on_constructed_ranks():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -218,6 +225,16 @@ def test_normalize_rows_keeps_zero_rows():
     out = normalize_rows([[3.0, 4.0], [0.0, 0.0]])
     assert np.allclose(out[0], [0.6, 0.8])
     assert np.array_equal(out[1], [0.0, 0.0])
+
+
+def test_normalize_rows_survives_overflowing_row_norms():
+    # Above about 1.3e154 a row's plain sum of squares overflows to inf, which
+    # made the row zero, with numpy's overflow warning.  Finite norms keep
+    # the bits of np.linalg.norm.
+    out = normalize_rows([[1e160, -1e160], [3.0, 4.0], [1e200, 0.0]])
+    assert np.allclose(out, [[2**-0.5, -(2**-0.5)], [0.6, 0.8], [1.0, 0.0]])
+    G = np.random.default_rng(23).standard_normal((50, 4)) * np.logspace(-30, 30, 50)[:, None]
+    assert np.array_equal(normalize_rows(G), G / np.linalg.norm(G, axis=1)[:, None])
 
 
 def test_stacked_ranks_match_mat_rank_per_matrix():

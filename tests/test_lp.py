@@ -406,11 +406,22 @@ def test_condensed_kernel_matches_full_tableau_on_c10_lps(monkeypatch):
     assert max(_assert_null_kernels_agree(K) for K in null_lps) >= 2
 
 
-def test_margin_witness_bytes_pinned(monkeypatch):
+def _witness_digest(lps):
+    """sha256 of every (t, u) byte that ``lp_max_margin`` returns on ``lps``."""
+    digest = hashlib.sha256()
+    for G in lps:
+        r = lp_max_margin(G)
+        digest.update(np.float64(r.t).tobytes())
+        digest.update(r.witness.tobytes())
+    return digest.hexdigest()
+
+
+def test_margin_witness_bytes_pinned():
     # The sha256 of every (t, u) byte of lp_max_margin on tie-heavy integer
-    # G, on the 120 duplicated rows of the degenerate test (ties in every
-    # ratio test), and on the C10 margin LPs.  It was recorded with the free-variable (t+, t-) form of the margin
-    # LP: the slack-basis start must take the same pivots to the same floats.
+    # G and on the 120 duplicated rows of the degenerate test (ties in every
+    # ratio test).  It was recorded with the free-variable (t+, t-) form of
+    # the margin LP: the slack-basis start must take the same pivots to the
+    # same floats.
     rng = np.random.default_rng(56)
     lps = []
     for case in range(300):
@@ -421,14 +432,16 @@ def test_margin_witness_bytes_pinned(monkeypatch):
             G = G[rng.integers(0, m, 2 * m)]
         lps.append(G)
     lps.append(_DUPLICATE_ROWS)
-    lps += _c10_lps(monkeypatch)[0]
-    digest = hashlib.sha256()
-    for G in lps:
-        r = lp_max_margin(G)
-        digest.update(np.float64(r.t).tobytes())
-        digest.update(r.witness.tobytes())
-    assert len(lps) == 312
-    assert digest.hexdigest() == "45b75c785e36c93c4cd53b9e31695af530e2aa6f380565b7c7ed0ecddf1e8dab"
+    assert _witness_digest(lps) == "c12cc5e6c626b829c6f193e4f5cff5812fe34583947427a2b5cb6361d909387d"
+
+
+def test_c10_margin_lp_witness_bytes_pinned(monkeypatch):
+    # The same bytes on the margin LPs of twelve C10 trials.  Re-pinned when
+    # theta0 and N came from one SVD of the design matrix instead of lstsq
+    # and a second SVD: the LP inputs moved by roundoff, the verdicts did not.
+    lps = _c10_lps(monkeypatch)[0]
+    assert len(lps) == 11
+    assert _witness_digest(lps) == "ce85e98a22831e41b45d79e0e33fbb2ac788500278330d71ea838c223fc66618"
 
 
 def test_positive_null_start_matches_full_tableau():

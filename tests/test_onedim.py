@@ -227,6 +227,28 @@ def test_fit_self_check_bounds_the_residual_norm(monkeypatch):
         fit_exact_1d(A, data, v)
 
 
+def test_fit_refuses_points_too_close_for_its_residual_check():
+    # Two gaps of 4.9e-7 pass the midpoint guard, but the hinges between them
+    # carry slopes of about 1e7 to every later point: the fit misses by 3e-8,
+    # above residual_tol * (1 + |y|), within the check's rounding bound of 1.7e-6.
+    x = [-1.0, -0.9999995121953599, -0.9999990243907199, -0.5121943842954223,
+         -0.024389744200124852, 0.4634148958951727, 0.9512195359904703, 1.0]
+    y = [0.01585655047683776, -0.5627215479662009, 0.6389947289718232, 0.2898298175843923,
+         0.2697748792876009, 0.05447986888738643, 0.3037998825092354, -0.37854719973540285]
+    v = [2.2983301900129094, 1.3735954380089432, -3.380379040372291, 0.566663672555978,
+         0.6442355857718713, 0.8510606923375074, 2.51844594144923, 3.4507811218692845,
+         -0.743577495411952, -1.0534240329409297, 3.697930378674899, -3.395396912333947,
+         2.4602957119592896, 3.3066173012011113, -1.4710350200985294, -2.483780016966397,
+         2.56853302506975, -2.2873110982337503, -0.9356617078177865, -1.2688698156403952,
+         -3.1088979567784416, 3.327723811618551, 1.8695787304658011, 3.954695385301939]
+    rows = ["00011111", "00000001", "00011111", "00000111", "11111111", "00000000", "00111111", "10000000",
+            "00001111", "00000001", "00111111", "00000011", "00001111", "01111111", "00000001", "00111111",
+            "11000000", "00001111", "00000111", "01111111", "11111111", "00111111", "00000011", "00001111"]
+    A = np.array([[int(c) for c in r] for r in rows])
+    with pytest.raises(InputError, match="too close to fit exactly in floating point"):
+        fit_exact_1d(A, Sorted1D.from_values(x, y), v)
+
+
 def test_sorted1d_rejects_duplicates():
     with pytest.raises(InputError):
         Sorted1D.from_values([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])

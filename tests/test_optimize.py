@@ -671,21 +671,25 @@ def _reports(tol=DEFAULT_TOL, **kwargs):
 @pytest.mark.parametrize("n_values,d1_values,seed,trials", [((4,), (12,), 11, 400), ((3, 5), (2, 5, 10), 34, 60)])
 def test_teacher_1d_cells_match_highs(n_values, d1_values, seed, trials):
     # Teacher targets can put the zero-loss set on a region boundary.  The
-    # generator LP has no roundoff-zero rows there: every "yes" passes the
-    # zero-loss-fit rule, and HiGHS (when scipy is present) agrees with
-    # every verdict.
+    # generator LP has no roundoff-zero rows there, and the margin route,
+    # forced onto the same regions, sets its roundoff-zero rows to exact
+    # zero: on both routes every "yes" passes the zero-loss-fit rule, and
+    # HiGHS (when scipy is present) agrees with every verdict.  Without the
+    # zero-row floor the forced margin route answered "yes" on 10 of these
+    # 760 regions where HiGHS answers "no".
     cases = _reports(n_values=n_values, d1_values=d1_values, d0_rule="1", trials=trials, seed=seed, labels="teacher", init="he")
     assert sum(report.contains_zero_loss for *_, report in cases) >= 30
-    _assert_verdicts_match_highs(cases)
+    forced = [(A, X, y, v, _margin_route(A, X, y, v)) for A, X, y, v, _ in cases]
+    _assert_verdicts_match_highs(cases + forced)
 
 
-# Trials (cell index, trial) of the seed-333 teacher grid whose "yes" HiGHS
-# answers "no".  In each, one unit must be exactly zero on the zero-loss set
-# yet active at some point: the witness gives it weights of about 1e-17,
-# whose relative preactivations clear the boundary band and whose outputs
-# fit y to roundoff.  The zero-row threshold of ROADMAP item 1 or item 4's
-# exact check must settle them.
-TEACHER_333_KNOWN = ((0, 30), (2, 239))
+# Trials (cell index, trial) of the seed-333 teacher grid whose verdict HiGHS
+# does not share.  None are left: at (0, 30) and (2, 239) one unit must be
+# exactly zero on the zero-loss set yet is active at some point.  Their "yes"
+# witnesses gave it weights of about 1e-17, whose relative preactivations
+# clear the boundary band and whose outputs fit y to roundoff; the margin
+# LP's zero-row floor (``optimize._ZERO_ROW_ULPS``) now reads them "no".
+TEACHER_333_KNOWN = ()
 
 
 @pytest.mark.parametrize("seed,trials", [(33, 60), (333, 400)])
@@ -783,3 +787,78 @@ def test_margin_route_never_runs_after_the_generator_lp(monkeypatch):
         routes.append(tuple(calls))
     assert set(routes[:-1]) <= {(), ("generator",), ("generator", "generator")} and routes[-1] == ("margin",)
     assert routes[:3] == [("generator", "generator")] * 3 and routes.count(("generator",)) >= 100
+
+
+@pytest.mark.parametrize("ratio,contains", [(0.0, False), (0.5, False), (2.0, True)])
+def test_margin_lp_zero_row_floor(ratio, contains):
+    # 1-d data without a bias: unit 0 (v = 1) is active on x > 0 and unit 1
+    # (v = -1) on x < 0.  The targets a relu(x) + beta min(x, 0) need w_0 = a
+    # and w_1 = -beta, so unit 1's region rows on the zero-loss set are
+    # x_j beta / |theta0|.  At beta = 0 the zero-loss set lies in unit 1's
+    # hyperplane: those rows are zero in exact arithmetic and about 1e-17 in
+    # floats, and without the floor 10 of these 40 draws read "yes".  A row
+    # at half its floor reads "no" as well; one at twice its floor is real
+    # and keeps its "yes".
+    C, block, k = 2, 1, 1
+    floor = optimize._ZERO_ROW_ULPS * C * block * np.finfo(float).eps * np.sqrt(k)
+    rng = np.random.default_rng(71)
+    v = np.array([1.0, -1.0])
+    verdicts = []
+    for _ in range(40):
+        x = rng.standard_normal(8)
+        while (x > 0.0).all() or (x < 0.0).all():
+            x = rng.standard_normal(8)
+        a = rng.uniform(0.5, 2.0)
+        beta = ratio * floor * a
+        A = ActivationPattern(np.array([x > 0.0, x < 0.0], dtype=np.int8), bias_flag=False)
+        y = a * np.maximum(x, 0.0) + beta * np.minimum(x, 0.0)
+        report = region_global_min_report(A, x[None, :], y, v)
+        assert report.solution_dim == 0
+        verdicts.append(report.contains_zero_loss)
+        if report.contains_zero_loss:
+            assert _zero_loss_fit(report.witness, A, x[None, :], y)
+    assert verdicts == [contains] * 40
+
+
+def _factorizations(monkeypatch):
+    """Counts of ``np.linalg.svd`` and ``np.linalg.lstsq`` calls from here on."""
+    counts = {"svd": 0, "lstsq": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return counts
+
+
+@pytest.mark.parametrize("reach", [True, False])
+def test_margin_report_factors_the_design_matrix_once(monkeypatch, reach):
+    # One SVD of the merged design matrix gives the rank, the reachability
+    # test, theta0 and N; there is no lstsq call, in reach or out of it.
+    rng = np.random.default_rng(72)
+    X = rng.standard_normal((2, 10 if not reach else 5))
+    d1 = 3 if not reach else 8
+    p = Params(rng.standard_normal((d1, 2)), rng.standard_normal(d1), _alternating(d1))
+    A, degenerate = activation_pattern(p, X)
+    assert not degenerate
+    y = rng.standard_normal(X.shape[1]) if not reach else forward(p, X)
+    counts = _factorizations(monkeypatch)
+    report = region_global_min_report(A, X, y, p.v)
+    assert (report.solution_dim is not None, report.contains_zero_loss) == (reach, reach)
+    assert counts == {"svd": 1, "lstsq": 0}
+
+
+def test_generator_report_factors_once(monkeypatch):
+    rng = np.random.default_rng(73)
+    n, d1 = 5, 12
+    v = _alternating(d1)
+    A = ActivationPattern(random_complete_step_matrix(n, v, rng))
+    X = _sorted_x(rng, n)[None, :]
+    counts = _factorizations(monkeypatch)
+    region_global_min_report(A, X, rng.uniform(-1.0, 1.0, n), v)
+    assert counts == {"svd": 1, "lstsq": 0}

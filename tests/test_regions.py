@@ -423,3 +423,17 @@ def test_general_position_certificate():
     assert not certify_general_position(X_dup)
     with pytest.raises(InputError):
         certify_general_position(rng.standard_normal((2, 13)))
+
+
+def test_feasibility_is_scale_free_above_the_squared_float_range():
+    # Entries above about 1.3e154 overflow a plain sum of squares, which
+    # made every row of the LP zero: infeasible, with or without a bias.
+    for bias in (False, True):
+        cert = unit_pattern_feasible(UnitPattern((1, 0), bias), [[1e160, -1e160]])
+        assert cert.feasible and cert.margin == pytest.approx(1.0)
+    # Without a bias the patterns are those of the unscaled data.  (With a
+    # bias the lifted 1 falls below float resolution next to 1e160.)
+    rng = np.random.default_rng(74)
+    for d0 in (1, 2, 3):
+        X = rng.standard_normal((d0, 7))
+        assert enumerate_feasible_unit_patterns(X * 1e160) == enumerate_feasible_unit_patterns(X)
