@@ -17,6 +17,7 @@ from operator import index
 import numpy as np
 
 from .errors import InputError
+from .linalg import as_binary
 
 __all__ = ["rational_rank", "int_rank", "binary_matrix_is_singular"]
 
@@ -99,13 +100,7 @@ def rational_rank(M) -> int:
 
 def binary_matrix_is_singular(M) -> bool:
     """Exact singularity test for a square 0/1 matrix."""
-    try:
-        A = np.asarray(M)
-    except ValueError:  # ragged rows
-        raise InputError("expected a square matrix") from None
+    A = as_binary(M, name="matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("expected a square matrix")
-    ones = A == 1
-    if not np.all(ones | (A == 0)):
-        raise InputError("expected 0/1 entries")
-    return int_rank(ones.astype(int).tolist()) < len(A)
+    return int_rank(A.tolist()) < len(A)

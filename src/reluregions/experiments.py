@@ -104,19 +104,17 @@ def resolve_d0(rule: str, n: int) -> int:
         d0 = int(rule)
     except ValueError:
         raise InputError(f"unknown d0 rule {rule!r}; expected an integer or one of {D0_RULES}")
-    if d0 < 1:
-        raise InputError("d0 must be at least 1")
-    return d0
+    return as_int(d0, "d0", 1)
 
 
 def gen_gaussian_data(d0: int, n: int, seed) -> np.ndarray:
     """d0 x n matrix of iid standard normal entries, almost surely distinct columns."""
-    return _rng(seed).standard_normal((as_int(d0, "d0"), as_int(n, "n")))
+    return _rng(seed).standard_normal((as_int(d0, "d0", 0), as_int(n, "n", 0)))
 
 
 def gen_cube_data(d0: int, n: int, seed) -> np.ndarray:
     """d0 x n matrix of iid uniform entries on [-1, 1], almost surely distinct columns."""
-    return _rng(seed).uniform(-1.0, 1.0, (as_int(d0, "d0"), as_int(n, "n")))
+    return _rng(seed).uniform(-1.0, 1.0, (as_int(d0, "d0", 0), as_int(n, "n", 0)))
 
 
 def parse_labels_kind(kind: str) -> tuple[str, int | None]:
@@ -128,9 +126,7 @@ def parse_labels_kind(kind: str) -> tuple[str, int | None]:
             degree = int(kind.split(":", 1)[1])
         except ValueError:
             raise InputError(f"bad polynomial degree in labels kind {kind!r}")
-        if degree < 0:
-            raise InputError("polynomial degree must be nonnegative")
-        return "poly", degree
+        return "poly", as_int(degree, "polynomial degree", 0)
     raise InputError(f"unknown labels kind {kind!r}; expected poly:<deg>, teacher or random")
 
 
@@ -173,7 +169,7 @@ def init_params(scheme: str, d0: int, d1: int, seed, bias: bool = True) -> Param
     """
     if scheme not in INIT_SCHEMES:
         raise InputError(f"unknown init scheme {scheme!r}; expected one of {INIT_SCHEMES}")
-    d0, d1 = as_int(d0, "d0"), as_int(d1, "d1")
+    d0, d1 = as_int(d0, "d0", 1), as_int(d1, "d1", 1)
     W, b = _uniform_weights(scheme, d0, d1, _rng(seed), bias)
     return Params(W, b, _head(d1))
 
@@ -209,23 +205,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        n_values = tuple(as_int(n, "each n value") for n in self.n_values)
-        d1_values = tuple(as_int(d, "each d1 value") for d in self.d1_values)
+        n_values = tuple(as_int(n, "each n value", 1, MAX_N) for n in self.n_values)
+        d1_values = tuple(as_int(d, "each d1 value", 1, MAX_D1) for d in self.d1_values)
         if not n_values or not d1_values:
             raise InputError("grid must contain at least one n and one d1 value")
-        if min(n_values) < 1 or max(n_values) > MAX_N:
-            raise InputError(f"n values must lie in [1, {MAX_N}]")
-        if min(d1_values) < 1 or max(d1_values) > MAX_D1:
-            raise InputError(f"d1 values must lie in [1, {MAX_D1}]")
-        trials = as_int(self.trials, "trials")
-        seed = as_int(self.seed, "seed")
-        workers = as_int(self.workers, "workers")
-        if trials < 1:
-            raise InputError("trials must be at least 1")
-        if seed < 0:
-            raise InputError("seed must be nonnegative")
-        if workers < 1:
-            raise InputError("workers must be at least 1")
+        trials = as_int(self.trials, "trials", 1)
+        seed = as_int(self.seed, "seed", 0)
+        workers = as_int(self.workers, "workers", 1)
         if self.init not in INIT_SCHEMES:
             raise InputError(f"unknown init scheme {self.init!r}")
         parse_labels_kind(self.labels)
@@ -424,14 +410,10 @@ def run_singularity_study(dims, trials: int, seed: int) -> GridResult:
     Monte Carlo.  Reported through the common grid schema with d0 = 0 and
     n = d1 = matrix dimension.
     """
-    dims = [as_int(d, "each of dims") for d in dims]
-    trials, seed = as_int(trials, "trials"), as_int(seed, "seed")
-    if not dims or min(dims) < 1:
+    dims = [as_int(d, "each of dims", 1) for d in dims]
+    trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
+    if not dims:
         raise InputError("dims must be a nonempty list of positive integers")
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    if seed < 0:
-        raise InputError("seed must be nonnegative")
     cells = []
     for di, d in enumerate(dims):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, di)))
@@ -460,9 +442,7 @@ def _csv_count(text: str, name: str, where: str) -> int:
         value = int(text)
     except ValueError:
         raise InputError(f"{where}: {name} must be an integer, got {text!r}")
-    if value < 0:
-        raise InputError(f"{where}: {name} must be nonnegative, got {value}")
-    return value
+    return as_int(value, f"{where}: {name}", 0)
 
 
 def _csv_fraction(text: str, where: str) -> float:

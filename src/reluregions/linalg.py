@@ -10,6 +10,12 @@ the Gram matrix under a stated rounding bound); it does not replace the
 rule, and every draw it cannot settle is ranked here.
 The ``stacked_`` functions take arrays with leading batch axes and skip
 validation; their callers build those arrays from validated draws.
+
+The input checks every module shares live here too: ``as_int`` decides what
+a valid integer size or index is (an ``operator.index`` integer, not a bool,
+within optional bounds), ``as_binary`` what a valid 0/1 pattern is (equal
+rows, every entry 0 or 1), and ``as_matrix``/``as_vector`` what a valid
+finite float matrix or vector is.  Callers keep only their own shape rules.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ __all__ = [
     "Tol",
     "DEFAULT_TOL",
     "as_int",
+    "as_binary",
     "as_matrix",
     "as_vector",
     "embed_ones",
@@ -77,14 +84,43 @@ class Tol:
 DEFAULT_TOL = Tol()
 
 
-def as_int(value, name: str) -> int:
-    """``value`` as a plain int (``operator.index``); bools, floats, strings and the like raise InputError."""
+def as_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a plain int (``operator.index``) within the bounds ``low`` and ``high`` that are not None.
+
+    Bools, floats, strings and the like raise InputError, and so does an
+    integer out of bounds.
+    """
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if (low is None or value >= low) and (high is None or value <= high):
+                return value
+            if high is not None:
+                rule = f"lie in [{low}, {high}]" if low is not None else f"be at most {high}"
+            else:
+                rule = "be nonnegative" if low == 0 else f"be at least {low}"
+            raise InputError(f"{name} must {rule}, got {value}")
     raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def as_binary(M, *, name: str) -> np.ndarray:
+    """The 0/1 entries of ``M`` as a new int8 array of its shape.
+
+    Ints, bools, the floats 0.0 and 1.0 and object arrays of those pass.
+    Ragged rows and any other entry (0.7, NaN, the string "1") raise
+    InputError; the caller checks the shape.
+    """
+    try:
+        A = np.asarray(M)
+    except ValueError:  # rows of unequal length
+        raise InputError(f"{name} rows must all have the same length") from None
+    ones = A == 1
+    if not (ones | (A == 0)).all():
+        raise InputError(f"{name} entries must be 0 or 1")
+    return ones.astype(np.int8)
 
 
 def as_matrix(M, *, name: str = "matrix") -> np.ndarray:

@@ -9,12 +9,20 @@ point.  On such a cone the network output is linear in the parameters and
 its Jacobian is the columnwise Kronecker product of the (v-scaled) pattern
 columns with the (bias-embedded) input columns (``optimize.design_matrix``).
 
-Each input contract is checked in one place.  ``checked_head`` owns the
-head: finite, one entry per unit, no zero entry.  ``PatternOnData.lift``
-owns a pattern on data: the pattern has the expected type, ``X`` is a
-finite matrix with one column per pattern column, and its columns are lifted
-to (x, 1) when the pattern carries a bias flag.  ``ActivationPattern`` and
-``regions.UnitPattern`` share it.
+Each input contract is checked in one place:
+
+- ``linalg.as_int``: an integer size or index, within its bounds.
+- ``linalg.as_binary``: the entries of a pattern, equal rows of 0s and 1s;
+  ``ActivationPattern``, ``regions.UnitPattern``, ``onedim._step_codes``
+  and ``exact.binary_matrix_is_singular`` add only their shape rules.
+- ``linalg.as_matrix`` and ``linalg.as_vector``: a finite float matrix or
+  vector.
+- ``checked_head``: the head, finite, one entry per unit, no zero entry.
+- ``PatternOnData.lift``: a pattern on data.  The pattern has the expected
+  type, ``X`` is a finite matrix with one column per pattern column, and
+  its columns are lifted to (x, 1) when the pattern carries a bias flag.
+  ``ActivationPattern`` and ``regions.UnitPattern`` share it.
+- ``onedim._step_codes_on``: a step pattern on sorted 1-d data.
 
 ``_witness_fault`` is the one check of a witness, for the zero-loss report
 and the exact 1-d constructions alike: the pattern is realized with no
@@ -43,6 +51,7 @@ from .linalg import (
     Tol,
     _norm,
     _norms,
+    as_binary,
     as_matrix,
     as_vector,
     embed_ones,
@@ -84,14 +93,6 @@ class Dataset:
             raise InputError("dataset must contain at least one point")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-
-    @property
-    def d0(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[1]
 
 
 def checked_head(v, d1: int) -> np.ndarray:
@@ -172,12 +173,10 @@ class ActivationPattern(PatternOnData):
     bias_flag: bool = field(default=True)
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A)
+        A = as_binary(self.A, name="pattern")
         if A.ndim != 2:
             raise InputError("pattern matrix must be 2-dimensional")
-        if not ((A == 0) | (A == 1)).all():
-            raise InputError("pattern entries must be 0 or 1")
-        object.__setattr__(self, "A", A.astype(np.int8))
+        object.__setattr__(self, "A", A)
 
     @property
     def d1(self) -> int:

@@ -10,9 +10,9 @@ any target exactly.  ``fit_exact_1d`` performs that construction: slack
 units realize their rows canonically, and per threshold a hinge recursion
 interpolates the residual, each hinge being split across a positive/negative
 key pair so the pattern constraints stay strict.  Every function here reads
-a pattern through one array pass, ``_step_codes``, which validates it and
-gives each row its canonical (threshold, variant) code or marks it as not a
-step vector; ``_step_codes_on`` adds the checks of a step pattern on sorted
+a pattern through one array pass, ``_step_codes``, which checks it
+(``linalg.as_binary`` and a 2-d shape with a column) and gives each row its
+canonical (threshold, variant) code or marks it as not a step vector; ``_step_codes_on`` adds the checks of a step pattern on sorted
 data.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .linalg import DEFAULT_TOL, Tol, _norm, as_int, as_vector
+from .linalg import DEFAULT_TOL, Tol, _norm, as_binary, as_int, as_vector
 from .model import ActivationPattern, Params, _witness_fault, checked_head, on_boundary
 
 __all__ = [
@@ -61,14 +61,10 @@ class StepVector:
     n: int
 
     def __post_init__(self) -> None:
-        for name in ("k", "variant", "n"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.n < 1:
-            raise InputError("step vectors need n >= 1")
-        if self.variant not in (0, 1):
-            raise InputError("variant must be 0 or 1")
-        if not (1 <= self.k <= self.n + 1):
-            raise InputError(f"threshold index {self.k} out of range [1, {self.n + 1}]")
+        n = as_int(self.n, "n", 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "variant", as_int(self.variant, "variant", 0, 1))
+        object.__setattr__(self, "k", as_int(self.k, "k", 1, n + 1))
 
     def values(self) -> np.ndarray:
         i = np.arange(1, self.n + 1)
@@ -96,12 +92,9 @@ def _step_codes(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with one switch has k one past its leading run and the variant of the
     value after the switch; k = 0 marks a row that switches more than once.
     """
-    M = np.asarray(A.A if isinstance(A, ActivationPattern) else A)
+    M = as_binary(A.A if isinstance(A, ActivationPattern) else A, name="pattern")
     if M.ndim != 2 or M.shape[1] == 0:
         raise InputError(f"a pattern must be a 2-d matrix with at least one column, got shape {M.shape}")
-    if not ((M == 0) | (M == 1)).all():
-        raise InputError("row entries must be 0 or 1")
-    M = M.astype(np.int8, copy=False)
     first = M[:, 0]
     switches = (M[:, 1:] != M[:, :-1]).sum(axis=1)
     lead = (M == first[:, None]).sum(axis=1)
@@ -136,7 +129,7 @@ def _step_pool(n: int) -> np.ndarray:
 
 def sample_step_matrix(n: int, d1: int, rng: np.random.Generator) -> np.ndarray:
     """Pattern matrix with rows drawn iid uniformly from the 2n step vectors."""
-    n, d1 = as_int(n, "n"), as_int(d1, "d1")
+    n, d1 = as_int(n, "n", 1), as_int(d1, "d1", 0)
     return _step_pool(n)[rng.integers(0, 2 * n, size=d1)]
 
 
@@ -178,8 +171,8 @@ class Sorted1D:
         if np.any(np.diff(x) <= 0.0):
             raise InputError("x must be strictly increasing (distinct points)")
         perm = np.asarray(self.perm)
-        entries = [as_int(i, "each entry of perm") for i in perm.ravel().tolist()]
-        if perm.shape != x.shape or sorted(entries) != list(range(x.shape[0])):
+        entries = [as_int(i, "each entry of perm", 0, x.shape[0] - 1) for i in perm.ravel().tolist()]
+        if perm.shape != x.shape or len(set(entries)) != x.shape[0]:
             raise InputError("perm must be a permutation of the data indices")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -378,9 +371,7 @@ def coupon_collector_bound(delta: float, n: int, eps: float) -> int:
         raise InputError("delta must lie in (0, 1]")
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
-    n = as_int(n, "n")
-    if n < 1:
-        raise InputError("n must be at least 1")
+    n = as_int(n, "n", 1)
     return math.ceil(math.log(n / eps) / delta)
 
 
@@ -398,9 +389,7 @@ def width_thresholds(n: int, eps: float) -> WidthThresholds:
     per-sign output-weight count beyond which all but an eps fraction of
     realizable regions contain a codimension-n set of zero-loss minima.
     """
-    n = as_int(n, "n")
-    if n < 1:
-        raise InputError("n must be at least 1")
+    n = as_int(n, "n", 1)
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
     return WidthThresholds(

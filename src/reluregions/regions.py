@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .exact import rational_rank
-from .linalg import DEFAULT_TOL, Tol, as_int, as_matrix, embed_ones, normalize_rows
+from .linalg import DEFAULT_TOL, Tol, as_binary, as_int, as_matrix, embed_ones, normalize_rows
 from .lp import lp_max_margin
 from .model import ActivationPattern, PatternOnData
 from .onedim import _step_pool
@@ -54,10 +54,10 @@ class UnitPattern(PatternOnData):
     bias_flag: bool = False
 
     def __post_init__(self) -> None:
-        a = tuple(int(x) for x in self.a)
-        if any(x not in (0, 1) for x in a):
-            raise InputError("pattern entries must be 0 or 1")
-        object.__setattr__(self, "a", a)
+        a = as_binary(self.a, name="pattern")
+        if a.ndim != 1:
+            raise InputError(f"a unit pattern must be 1-dimensional, got shape {a.shape}")
+        object.__setattr__(self, "a", tuple(a.tolist()))
 
     @property
     def n(self) -> int:
@@ -83,9 +83,7 @@ def count_regions_general_position(n: int, d: int, d1: int) -> int:
     Exact big-integer evaluation of ``(2 * sum_{k<d} C(n-1, k)) ** d1``; for
     n <= d this equals 2 ** (n * d1), every pattern being realizable.
     """
-    n, d, d1 = as_int(n, "n"), as_int(d, "d"), as_int(d1, "d1")
-    if n < 1 or d < 1 or d1 < 1:
-        raise InputError("n, d and d1 must all be at least 1")
+    n, d, d1 = as_int(n, "n", 1), as_int(d, "d", 1), as_int(d1, "d1", 1)
     per_unit = 2 * sum(comb(n - 1, k) for k in range(d))
     return per_unit**d1
 
@@ -193,10 +191,8 @@ def zonotope_vertex_check(S, X, tol: Tol = DEFAULT_TOL) -> bool:
     """
     X = as_matrix(X, name="X")
     n = X.shape[1]
-    S = frozenset(as_int(j, "each subset index") for j in S)
-    if S and (min(S) < 0 or max(S) >= n):
-        raise InputError(f"subset indices must lie in [0, {n})")
-    a = tuple(int(j in S) for j in range(n))
+    S = frozenset(as_int(j, "each subset index", 0, n - 1) for j in S)
+    a = tuple(j in S for j in range(n))
     return unit_pattern_feasible(UnitPattern(a, bias_flag=False), X, tol).feasible
 
 

@@ -200,3 +200,66 @@ def test_enumerate_regions_1d_fast_path_output_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "48e4a921bd181f6ce96f3d045bc0006b034a5a5810537c39265e1cda1321753b"
     )
+
+
+def test_globalmin_grid_tol_sets_lp_tol(capsys):
+    from reluregions.experiments import ExperimentConfig, grid_csv_text, run_globalmin_grid
+    from reluregions.linalg import Tol
+
+    argv = ["globalmin-grid", "--n-min", "3", "--d1-min", "4", "--trials", "6", "--seed", "2"]
+    assert main(argv + ["--tol", "0.05"]) == 0
+    cfg = ExperimentConfig((3,), (4,), trials=6, seed=2, init="he", tol=Tol(lp_tol=0.05))
+    assert capsys.readouterr().out == grid_csv_text(run_globalmin_grid(cfg))
+    assert main(argv + ["--tol", "2"]) == 1
+    assert "lp_tol must lie strictly between 0 and 1" in capsys.readouterr().err
+
+
+def test_enumerate_regions_out_csv(tmp_path, capsys):
+    path = tmp_path / "patterns.csv"
+    assert main(["enumerate-regions", "--d0", "2", "--n", "4", "--seed", "5", "--out-csv", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"wrote {path}"
+    patterns = out[:-2]
+    assert len(patterns) == 8
+    assert path.read_text(encoding="utf-8") == "\n".join(["pattern"] + patterns) + "\n"
+
+
+def test_polyline_out_csv(tmp_path, capsys):
+    from reluregions.funcspace import relu_polyline
+    from reluregions.onedim import Sorted1D
+
+    path = tmp_path / "polyline.csv"
+    assert main(["polyline", "--x", "0,1,3", "--out-csv", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {path}"
+    line = relu_polyline(Sorted1D.from_values([0.0, 1.0, 3.0], np.zeros(3)))
+    rows = ["vertex,coord,raw,normalized"] + [
+        f"{vi},{ci},{line.raw[vi, ci]:.6g},{line.vertices[vi, ci]:.6g}"
+        for vi in range(line.vertices.shape[0])
+        for ci in range(3)
+    ]
+    assert path.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+    assert rows[1:4] == ["0,0,1,1", "0,1,0,0", "0,2,0,0"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["singularity", "--dims", "2,x"], "bad --dims value '2,x'"),
+        (["rank-grid", "--n-min", "3", "--n-step", "0", "--d1-min", "2"], "n step must be positive"),
+        (["rank-grid", "--n-min", "4", "--n-max", "3", "--d1-min", "2"], "n range is empty"),
+    ],
+)
+def test_bad_ranges_exit_one(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unexpected_exception_exits_two(monkeypatch, capsys):
+    from reluregions import cli
+
+    def boom(_data):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(cli, "relu_polyline", boom)
+    assert cli.main(["polyline", "--x", "0,1"]) == 2
+    assert capsys.readouterr().err == "internal error: ValueError('forced')\n"
