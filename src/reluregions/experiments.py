@@ -89,6 +89,19 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _int_text(text: str, name: str, low: int, bad: str) -> int:
+    """The integer that ``text`` spells in ASCII digits, at least ``low`` (``as_int``); other text raises InputError(``bad``).
+
+    Python's ``int`` also reads blanks, underscores, a plus sign and other
+    scripts' digits (``int(" 1_0 ")`` is 10), none of which the package
+    writes.  A leading minus sign is read too, so that a negative value is
+    refused by its bound ("-0" reads as 0).
+    """
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise InputError(bad)
+    return as_int(int(text), name, low)
+
+
 def resolve_d0(rule: str, n: int) -> int:
     """Turn a d0 rule (fixed integer or ratio of n) into a concrete value."""
     rule = str(rule).strip()
@@ -100,11 +113,7 @@ def resolve_d0(rule: str, n: int) -> int:
         return n
     if rule == "2n":
         return 2 * n
-    try:
-        d0 = int(rule)
-    except ValueError:
-        raise InputError(f"unknown d0 rule {rule!r}; expected an integer or one of {D0_RULES}")
-    return as_int(d0, "d0", 1)
+    return _int_text(rule, "d0", 1, f"unknown d0 rule {rule!r}; expected an integer or one of {D0_RULES}")
 
 
 def gen_gaussian_data(d0: int, n: int, seed) -> np.ndarray:
@@ -122,11 +131,7 @@ def parse_labels_kind(kind: str) -> tuple[str, int | None]:
     if kind in ("random", "teacher"):
         return kind, None
     if kind.startswith("poly:"):
-        try:
-            degree = int(kind.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"bad polynomial degree in labels kind {kind!r}")
-        return "poly", as_int(degree, "polynomial degree", 0)
+        return "poly", _int_text(kind[5:], "polynomial degree", 0, f"bad polynomial degree in labels kind {kind!r}")
     raise InputError(f"unknown labels kind {kind!r}; expected poly:<deg>, teacher or random")
 
 
@@ -438,11 +443,7 @@ def grid_csv_text(result: GridResult) -> str:
 
 
 def _csv_count(text: str, name: str, where: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise InputError(f"{where}: {name} must be an integer, got {text!r}")
-    return as_int(value, f"{where}: {name}", 0)
+    return _int_text(text, f"{where}: {name}", 0, f"{where}: {name} must be an integer, got {text!r}")
 
 
 def _csv_fraction(text: str, where: str) -> float:

@@ -20,8 +20,13 @@ these verdicts.  Two routes pose the LP:
   strictly positive combinations of its two extreme rays, so a zero-loss
   point exists exactly when y = F lambda with lambda > 0, F having one
   column per ray.  ``lp_positive_null`` decides it on n equality rows.
-  Its attempts are that LP, then the same LP over each wedge's bisector
-  (one column per class), whose witness is more central.
+  Its attempts are, first, the point of {F lambda = y} nearest the
+  all-ones ray, read off the SVD of F (``_central_point``) and offered
+  only when every entry clears lp_tol times the largest; then that LP;
+  then the same LP over each wedge's bisector (one column per class),
+  whose witness is more central.  Most reachable regions have a large
+  zero-loss set, so the first attempt answers most "yes" without an LP;
+  every "no" still comes from the LP.
 * Margin route, for every other input: units are classed by their rows and
   signs of v (``_row_ids``).  Its one attempt is ``lp_max_margin`` over one inequality row
   per (merged unit, data point), on a null-space basis of the design matrix.
@@ -31,9 +36,10 @@ these verdicts.  Two routes pose the LP:
 
 Each route only produces its parts: the unit classes (``_classes``), the
 lifted block size, the rank of the merged design and the least-squares
-residual, both from one SVD (``_svd_fit``), and a generator of its LP
-attempts in order, each an LP result with the map from its witness to one
-weight block per class.  The attempts run only as far as the tail asks.
+residual, both from one SVD (``_svd_fit``), and a generator of its
+attempts in order, each an LP result (or, for the central point, a result
+of the same form at t = 1) with the map from its witness to one weight
+block per class.  The attempts run only as far as the tail asks.
 One tail in ``region_global_min_report`` does the rest for both: targets
 out of reach (``Tol.misses``) read "no" at once, the first attempt's
 optimum is the report's margin, and a "yes" goes out only with a witness
@@ -59,7 +65,7 @@ from .linalg import (
     nullspace_basis,
     stacked_khatri_rao,
 )
-from .lp import lp_max_margin, lp_positive_null
+from .lp import MarginResult, lp_max_margin, lp_positive_null
 from .model import ActivationPattern, Params, _witness_fault, checked_head
 from .onedim import _step_codes
 
@@ -92,10 +98,14 @@ class RegionMinReport:
     exists), and ``margin`` the optimum of the first homogeneous LP of the
     region's route, the generator LP for 1-d data with a bias and the
     margin LP otherwise: 1.0 (its cap) when the set meets the open region
-    and 0.0 when it does not, up to roundoff.  On either route a margin of
-    1.0 with ``contains_zero_loss`` False means the LP found the zero-loss
-    set in the open region but no float64 witness built from it passed the
-    check.
+    and 0.0 when it does not, up to roundoff.  On the generator route a
+    margin of exactly 1.0 can also come from the central point
+    (``_central_point``): a point of that LP's cone whose every entry
+    clears lp_tol shows the optimum to be the cap, and the LP then runs
+    only if the point's witness fails.  On either route a margin of 1.0
+    with ``contains_zero_loss`` False means that the LP or the central
+    point found the zero-loss set in the open region but no float64
+    witness built from them passed the check.
     """
 
     contains_zero_loss: bool
@@ -181,9 +191,14 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
     combinations of its two extreme rays, so the region has a zero-loss
     point exactly when y = F lambda for some lambda > 0, F being n x 2C
     (one column per ray, classes inactive everywhere left out).  That is
-    the n-row LP ``lp_positive_null([F, -y])``; when its witness fails the
-    check, the LP over the bisectors of the wedges (both rays of a class
-    weighted alike) is tried next.  Every other input takes the margin LP:
+    the n-row LP ``lp_positive_null([F, -y])``.  Before it, the point of
+    {F lambda = y} nearest the all-ones ray, taken from the SVD that also
+    gives the rank and the residual, is tried when each of its entries
+    exceeds ``tol.lp_tol`` times the largest (with the 1 of z = (lambda,
+    1) counted); a passing witness from it is a "yes" with margin 1.0 and
+    no LP.  When a witness fails the check, the next attempt runs: the
+    LP, then the LP over the bisectors of the wedges (both rays of a class
+    weighted alike).  Every other input takes the margin LP:
     the merged zero-loss set theta0 + span N meets the open region exactly
     when R N c + tau R theta0 / |theta0| > 0 has a solution with tau > 0 (R
     the region's sign rows), and then theta0 + N c |theta0| / tau is a
@@ -195,7 +210,8 @@ def region_global_min_report(A: ActivationPattern, X, y, v, tol: Tol = DEFAULT_T
     min(``tol.lp_tol``, ``DEFAULT_TOL.lp_tol``) wide: a coarse ``lp_tol``
     widens the band in which sampled parameters are resampled, not the
     band a witness must clear.  When no attempt's witness passes, the
-    report is "no" at the first attempt's margin.
+    report is "no" at the first attempt's margin (1.0 when the central
+    point was offered).
     """
     Xh = ActivationPattern.lift(A, X)
     y = as_vector(y, name="y")
@@ -235,6 +251,26 @@ def _svd_fit(M: np.ndarray, y: np.ndarray, tol: Tol, full_matrices: bool = False
     rank = int(_rank(s, tol))
     Ur = U[:, :rank]
     return rank, _norm(y - Ur @ (Ur.T @ y)), U, s, Vt
+
+
+def _central_point(Ur: np.ndarray, sr: np.ndarray, Vr: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z = (lambda, 1) for a central point lambda of {F lambda = y}, given the rank-r SVD F = Ur diag(sr) Vr.
+
+    The points of that set nearest the all-ones ray are lambda(c) = lambda0
+    + c p, with lambda0 = Vr^T sr^-1 Ur^T y the minimum-norm solution and p
+    the projection of the all-ones vector onto null(F).  c is the midpoint
+    of the interval (lo, hi) on which lambda(c) > 0, with hi cut to lo + 4
+    |lambda0| when it is farther (it is often infinite), so lambda scales
+    with y.  p . 1 = |p|^2, so p has a positive entry and lo is finite
+    unless p = 0, where lambda(c) = lambda0 for every c.  When the interval
+    is empty, the returned point has an entry at or below zero.
+    """
+    lam0 = Vr.T @ ((Ur.T @ y) / sr)
+    p = 1.0 - Vr.T @ Vr.sum(axis=1)
+    lo = (-lam0[p > 0.0] / p[p > 0.0]).max(initial=-np.inf)
+    hi = (-lam0[p < 0.0] / p[p < 0.0]).min(initial=np.inf)
+    c = 0.0 if lo == -np.inf else 0.5 * (lo + min(hi, lo + 4.0 * _norm(lam0)))
+    return np.append(lam0 + c * p, 1.0)
 
 
 def _generator_parts(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.ndarray, tol: Tol):
@@ -278,7 +314,7 @@ def _generator_parts(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.
 
     # F spans the columns of the merged design matrix, so its SVD gives the
     # rank and the reachability test of the margin route.
-    rank, residual, *_ = _svd_fit(F, ys, tol)
+    rank, residual, U, s, Vt = _svd_fit(F, ys, tol)
 
     def theta(z, per_class):
         # A class inactive everywhere is not in F; lambda = 1 on both of its
@@ -289,6 +325,14 @@ def _generator_parts(A: ActivationPattern, Xh: np.ndarray, y: np.ndarray, v: np.
         return np.column_stack([weights.sum(axis=1), -(weights * xs[anchors]).sum(axis=1)])
 
     def attempts():
+        # The zero-loss set {F lambda = y} of most regions is large, so its
+        # point nearest the all-ones ray is often well inside lambda > 0 and
+        # needs no LP.  Entries at rounding level would make a witness whose
+        # units cannot be told from zero, so the point must clear lp_tol as
+        # the LP's optimum must.
+        z = _central_point(U[:, :rank], s[:rank], Vt[:rank], ys)
+        if z.min() > tol.lp_tol * z.max():
+            yield MarginResult(1.0, z), lambda z: theta(z, 2)
         yield lp_positive_null(K), lambda z: theta(z, 2)
         # A vertex of the generator LP can put a hinge within lp_tol of a data
         # point, or need weights whose rounding misses y.  The LP over each

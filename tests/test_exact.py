@@ -42,15 +42,11 @@ def test_int_rank_matches_numpy_on_random():
         assert int_rank(M.tolist()) == np.linalg.matrix_rank(M)
 
 
-def test_binary_singular_exhaustive_2x2():
-    singular = sum(
-        binary_matrix_is_singular(np.array([[a, b], [c, d]]))
-        for a in (0, 1)
-        for b in (0, 1)
-        for c in (0, 1)
-        for d in (0, 1)
-    )
-    assert singular == 10
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 10), (3, 338), (4, 42976)])
+def test_binary_singular_exhaustive(n, count):
+    # Every n x n 0/1 matrix: the singular ones number OEIS A046747(n).
+    bits = (np.arange(2 ** (n * n))[:, None] >> np.arange(n * n)) & 1
+    assert sum(binary_matrix_is_singular(M) for M in bits.reshape(-1, n, n)) == count
 
 
 def test_int_rank_rejects_longer_later_row():

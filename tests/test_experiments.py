@@ -322,6 +322,12 @@ _GOOD_ROW = "rank-grid,4,2,4,5,7,full_rank_fraction,0.4,0"
         ("rank-grid,4,2,-4,5,7,full_rank_fraction,0.4,0", "n must be nonnegative"),
         ("rank-grid,4,2,4,2.5,7,full_rank_fraction,0.4,0", "trials must be an integer"),
         ("rank-grid,4,2,4,5,x,full_rank_fraction,0.4,0", "seed must be an integer"),
+        # Python's int() reads these as 10, 5, 7, 4 and 2; grid_csv_text writes none of them.
+        ("rank-grid,4,2,4,1_0,7,full_rank_fraction,0.4,0", "trials must be an integer"),
+        ("rank-grid,4,2,4,+5,7,full_rank_fraction,0.4,0", "trials must be an integer"),
+        ("rank-grid,4,2,4,5, 7 ,full_rank_fraction,0.4,0", "seed must be an integer"),
+        ("rank-grid,4,2,\u0664,5,7,full_rank_fraction,0.4,0", "n must be an integer"),
+        ("rank-grid,4,2,4,5,7,full_rank_fraction,0.4,\u00b2", "resamples must be an integer"),
         ("globalmin-grid,4,2,4,5,7,full_rank_fraction,0.4,0", "differ from the first row"),
         ("rank-grid,4,2,4,5,7,zero_loss_fraction,0.4,0", "differ from the first row"),
         ("rank-grid,4,2,4,5,8,full_rank_fraction,0.4,0", "differ from the first row"),

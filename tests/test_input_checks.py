@@ -177,7 +177,15 @@ INPUT_ERRORS = {
         "2-d matrix",
     ),
     "resolve_d0 zero": (lambda: resolve_d0("0", 4), "d0 must be at least 1"),
+    # Python's int() reads each of these as an integer.
+    "resolve_d0 underscore": (lambda: resolve_d0("1_0", 4), "unknown d0 rule '1_0'"),
+    "resolve_d0 plus sign": (lambda: resolve_d0("+3", 4), "unknown d0 rule '+3'"),
+    "resolve_d0 superscript": (lambda: resolve_d0("\u00b2", 4), "unknown d0 rule"),
     "labels poly:x": (lambda: gen_labels("poly:x", _X3, 0), "bad polynomial degree"),
+    "labels poly underscore": (lambda: gen_labels("poly:1_0", _X3, 0), "bad polynomial degree"),
+    "labels poly plus sign": (lambda: gen_labels("poly:+3", _X3, 0), "bad polynomial degree"),
+    "labels poly blank": (lambda: gen_labels("poly: 2", _X3, 0), "bad polynomial degree"),
+    "labels poly Arabic-Indic digit": (lambda: gen_labels("poly:\u0662", _X3, 0), "bad polynomial degree"),
     "labels poly:-1": (lambda: gen_labels("poly:-1", _X3, 0), "polynomial degree must be nonnegative"),
     "ExperimentConfig negative seed": (lambda: ExperimentConfig((4,), (2,), seed=-1), "seed must be nonnegative"),
     "ExperimentConfig zero workers": (lambda: ExperimentConfig((4,), (2,), workers=0), "workers must be at least 1"),

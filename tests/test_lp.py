@@ -373,12 +373,15 @@ def _c10_lps(monkeypatch):
     """Margin and generator LPs of twelve C10 trials, as the reports pass them.
 
     The C10 cell has 1-d data with a bias, so its reports take the n-row
-    generator LP; the margin route is called directly to cover the 80-row
+    generator LP; the central point, which answers most of these trials
+    ahead of that LP, is turned off so that every reachable trial builds
+    and solves it.  The margin route is called directly to cover the 80-row
     margin LPs as well, and must reach the same verdict.
     """
-    from test_optimize import _c10_region, _margin_route
+    from test_optimize import _c10_region, _margin_route, _without_central_point
 
     margin_lps, null_lps = [], []
+    _without_central_point(monkeypatch)
 
     def recording(log, solve):
         def record(M):

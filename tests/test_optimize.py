@@ -369,9 +369,11 @@ def test_c10_verdicts_and_witnesses_pinned(monkeypatch):
     # Trials 0..49 of the seed-110 C10 cell (the benchmark's globalmin-c10
     # seed).  The first sha256 covers the verdict and resample count of each
     # trial, recorded with the margin route and unchanged by the generator
-    # LP; the second adds the margin and the witness bytes, recorded with
-    # the generator LP.  Any change of pivots or of rounding in the solve
-    # moves the second.
+    # LP and by the central point; the second adds the margin and the
+    # witness bytes, re-recorded when the central point came to answer
+    # every "yes" of these trials ahead of the generator LP.  Any change of
+    # that point's floats, or of pivots or rounding in a solve, moves the
+    # second.
     reports = []
 
     def recording(A, X, y, v, tol):
@@ -395,7 +397,7 @@ def test_c10_verdicts_and_witnesses_pinned(monkeypatch):
                 digest.update(np.ascontiguousarray(part).tobytes())
     assert yes == 41
     assert verdicts.hexdigest() == "0506e091abd6d3b2df6e82fc3d748ae6cf684db08862e4afc3fcfb99504e43d8"
-    assert digest.hexdigest() == "25ba15bc9e5a6e8268edf07491620e3ab2bb63468b7145c9589e5f898ef6f64f"
+    assert digest.hexdigest() == "b7ab88111931af254d086fe7c34c6a3aef932a769564cf78460db56a34255f55"
 
 
 # Trial 1 at these grid seeds: two data points 2e-4 (300715) and 2e-5
@@ -433,10 +435,12 @@ def test_near_coincident_c10_yes_is_witnessed_by_the_bisector_lp(monkeypatch, se
     # used to be answered "yes" with that witness, whose residual exceeds
     # residual_tol, and the third "yes" by the margin LP.  The LP over the
     # wedges' bisectors gives a witness that passes, and the margin route
-    # is never solved.
+    # is never solved.  The central point, which now answers the first and
+    # the third ahead of any LP, is turned off to reach the two LPs.
     A, X, y, v = _c10_region(seed, trial)
     solves = []
     null = optimize.lp_positive_null
+    _without_central_point(monkeypatch)
     monkeypatch.setattr(optimize, "lp_positive_null", lambda K: solves.append(K.shape[1]) or null(K))
     monkeypatch.setattr(optimize, "_margin_parts", None)
     report = region_global_min_report(A, X, y, v)
@@ -578,6 +582,14 @@ def _margin_route(A, X, y, v, tol=DEFAULT_TOL):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "_generator_parts", lambda *args: None)
         return region_global_min_report(A, X, y, v, tol)
+
+
+def _without_central_point(mp):
+    """Turn off the generator route's central attempt: the point it computes is all zeros, below the lp_tol floor.
+
+    The route then starts with the generator LP, as it did before that attempt existed.
+    """
+    mp.setattr(optimize, "_central_point", lambda Ur, sr, Vr, y: np.zeros(Vr.shape[1] + 1))
 
 
 def _cell_regions(**kwargs):
@@ -736,8 +748,9 @@ def test_generator_lp_falls_back_to_margin_route(monkeypatch):
     # A "yes" whose witness misses the targets is never returned, and the
     # margin route does not decide the region again: after the bisector LP's
     # witness fails as well, the report reads "no" at the generator LP's
-    # margin.
+    # margin.  The central point, which answers this region, is turned off.
     monkeypatch.setattr(optimize, "lp_positive_null", bogus_yes)
+    _without_central_point(monkeypatch)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "_margin_parts", lambda *args: margin_parts.append(args))
         report = region_global_min_report(A, X, y, v)
@@ -768,7 +781,10 @@ def test_margin_route_never_runs_after_the_generator_lp(monkeypatch):
     # included: on C10 trials whose first witness fails the check, on
     # teacher cells whose zero-loss sets touch region boundaries and on
     # random C10 trials.  Input the generator route does not take goes to
-    # the margin route alone.
+    # the margin route alone.  The regions are reported twice: with the
+    # central point turned off, so that the generator LP runs on every
+    # reachable region, and with it counted, where the margin route still
+    # never runs.
     regions = [_c10_region(146100026, 1), _c10_region(500781, 0), _c10_region(9004, 736)]
     for n, d1, trials, seed, labels in ((4, 12, 100, 11, "teacher"), (5, 93, 60, 110, "random")):
         regions += _cell_regions(
@@ -777,16 +793,36 @@ def test_margin_route_never_runs_after_the_generator_lp(monkeypatch):
     non_step = ActivationPattern([[1, 0, 1], [1, 1, 1]])
     regions.append((non_step, np.array([[0.1, 0.5, 0.9]]), np.zeros(3), _alternating(2)))
     calls = []
-    null, margin_parts = optimize.lp_positive_null, optimize._margin_parts
+    null, margin_parts, central = optimize.lp_positive_null, optimize._margin_parts, optimize._central_point
     monkeypatch.setattr(optimize, "lp_positive_null", lambda K: calls.append("generator") or null(K))
     monkeypatch.setattr(optimize, "_margin_parts", lambda *args: calls.append("margin") or margin_parts(*args))
-    routes = []
-    for A, X, y, v in regions:
-        calls.clear()
-        region_global_min_report(A, X, y, v)
-        routes.append(tuple(calls))
-    assert set(routes[:-1]) <= {(), ("generator",), ("generator", "generator")} and routes[-1] == ("margin",)
-    assert routes[:3] == [("generator", "generator")] * 3 and routes.count(("generator",)) >= 100
+
+    def routes():
+        taken = []
+        for A, X, y, v in regions:
+            calls.clear()
+            yes = region_global_min_report(A, X, y, v).contains_zero_loss
+            taken.append((tuple(calls), yes))
+        return taken
+
+    with pytest.MonkeyPatch.context() as mp:
+        _without_central_point(mp)
+        lp_only = [route for route, _ in routes()]
+    assert set(lp_only[:-1]) <= {(), ("generator",), ("generator", "generator")} and lp_only[-1] == ("margin",)
+    assert lp_only[:3] == [("generator", "generator")] * 3 and lp_only.count(("generator",)) >= 100
+
+    monkeypatch.setattr(optimize, "_central_point", lambda *args: calls.append("central") or central(*args))
+    taken, verdicts = zip(*routes())
+    lp_routes = {("central", "generator"), ("central", "generator", "generator")}
+    assert set(taken[:-1]) <= {(), ("central",)} | lp_routes and taken[-1] == ("margin",)
+    # The central point is computed on exactly the regions where the
+    # generator LP ran, and it answers every "yes" of the random C10 trials
+    # (the last 60 before the non-step pattern) with no LP.
+    assert [bool(route) for route in taken] == [bool(route) for route in lp_only]
+    assert taken[:3] == (("central",), ("central", "generator", "generator"), ("central",))
+    c10 = slice(-61, -1)
+    assert [route == ("central",) for route in taken[c10]] == list(verdicts[c10])
+    assert taken.count(("central",)) >= 80
 
 
 @pytest.mark.parametrize("ratio,contains", [(0.0, False), (0.5, False), (2.0, True)])
